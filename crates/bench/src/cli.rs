@@ -453,7 +453,7 @@ pub struct Parsed {
 impl Parsed {
     /// Was this boolean switch given?
     pub fn switch(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| *s == name)
+        self.switches.contains(&name)
     }
 
     /// The raw value of a value-taking flag, if given.

@@ -11,13 +11,13 @@
 use crate::faults::{FaultInjector, FaultKind};
 use crate::models::{MachineConfig, Model, TraceConfig};
 use crate::report::{OptReport, SimReport, TraceReport};
-use parrot_energy::{EnergyAccount, EnergyModel, Event};
+use parrot_energy::{Energy, EnergyAccount, EnergyModel, Event};
 use parrot_isa::corrupt::fnv1a_u64;
 use parrot_isa::{ExecClass, Uop, UopKind};
 use parrot_opt::{GateDecision, Optimizer};
 use parrot_telemetry::{metrics, profile, trace as tev};
 use parrot_trace::{
-    construct_frame, CounterFilter, OptLevel, TraceCache, TraceCandidate, TracePredictor,
+    construct_frame, CounterFilter, OptLevel, Tid, TraceCache, TraceCandidate, TracePredictor,
     TraceSelector,
 };
 use parrot_uarch::core::{DispatchUop, OooCore};
@@ -64,6 +64,14 @@ struct TraceState {
     optimizer: Option<Optimizer>,
     hot_run: Option<HotRun>,
     cand_buf: Vec<TraceCandidate>,
+    /// Scratch buffers reused by every hot attempt, so trace entry does not
+    /// allocate: the confident variants at the fetch address, the uop
+    /// buffer of the next hot run (recycled from the last one), the
+    /// instruction each uop takes its address from, and the addresses.
+    variants: Vec<Tid>,
+    spare_dus: Vec<DispatchUop>,
+    addr_ref: Vec<Option<u32>>,
+    inst_addrs: Vec<u64>,
     hot_insts: u64,
     cold_insts: u64,
     aborts: u64,
@@ -87,6 +95,10 @@ impl TraceState {
             optimizer: cfg.optimizer.map(Optimizer::new),
             hot_run: None,
             cand_buf: Vec::new(),
+            variants: Vec::new(),
+            spare_dus: Vec::new(),
+            addr_ref: Vec::new(),
+            inst_addrs: Vec::new(),
             hot_insts: 0,
             cold_insts: 0,
             aborts: 0,
@@ -108,17 +120,16 @@ impl TraceState {
         d: &parrot_workloads::DynInst,
         seq: u64,
         wl: &Workload,
-        model: &EnergyModel,
         acct: &mut EnergyAccount,
         faults: &mut Option<FaultInjector>,
     ) {
         let kind = wl.program.inst(d.inst).kind;
-        acct.emit(model, Event::SelectorStep);
+        acct.emit(Event::SelectorStep);
         self.selector.step(d, &kind, seq, &mut self.cand_buf);
         while let Some(cand) = self.cand_buf.pop() {
-            acct.emit(model, Event::TpredUpdate);
+            acct.emit(Event::TpredUpdate);
             self.tpred.observe(&cand.tid);
-            acct.emit(model, Event::HotFilterAccess);
+            acct.emit(Event::HotFilterAccess);
             let count = self.hot_filter.bump(cand.tid.key());
             if let Some(inj) = faults {
                 if let Some(r) = inj.roll(FaultKind::TidAlias) {
@@ -137,7 +148,7 @@ impl TraceState {
                 self.tc.revalidate(&cand.tid);
             } else if count >= self.cfg.hot_filter.threshold {
                 let frame = construct_frame(&cand, &wl.decoded);
-                acct.emit_n(model, Event::TcWrite, frame.uops.len() as u64);
+                acct.emit_n(Event::TcWrite, frame.uops.len() as u64);
                 self.tc.insert(frame);
                 self.constructed += 1;
             }
@@ -157,9 +168,16 @@ pub struct Machine<'w> {
     cold_buf: VecDeque<DispatchUop>,
     cold_model: EnergyModel,
     hot_model: EnergyModel,
-    acct: EnergyAccount,
+    /// Event counts priced under `cold_model` (core 0, both front ends and
+    /// the trace machinery) and under `hot_model` (the hot core of a split
+    /// machine). Priced once, in [`Machine::energy`].
+    accts: [EnergyAccount; 2],
     trace: Option<TraceState>,
     now: u64,
+    /// Cycles actually simulated; `now - ticks` were skipped as idle.
+    ticks: u64,
+    /// Macro-instructions committed so far, over all cores.
+    insts: u64,
     active_side: Side,
     dispatch_blocked_until: u64,
     switches: u64,
@@ -287,9 +305,11 @@ impl<'w> Machine<'w> {
             cold_buf: VecDeque::new(),
             cold_model,
             hot_model,
-            acct: EnergyAccount::new(),
+            accts: [EnergyAccount::new(), EnergyAccount::new()],
             trace,
             now: 0,
+            ticks: 0,
+            insts: 0,
             active_side: Side::Cold,
             dispatch_blocked_until: 0,
             switches: 0,
@@ -326,27 +346,14 @@ impl<'w> Machine<'w> {
 
     /// Run to completion and produce the report.
     pub fn run(mut self) -> SimReport {
-        if tev::active() || metrics::active() {
-            let label = format!("{}/{}", self.label, self.wl.profile.name);
-            tev::begin_run(&label);
-            metrics::begin_run(&label);
-        }
-        let _prof = profile::scope("machine.run");
-        let cycle_cap = self.oracle.remaining() * 400 + 5_000_000;
-        while !self.done() && self.now < cycle_cap {
-            self.tick();
-        }
-        debug_assert!(self.done(), "simulation hit the cycle cap — livelock?");
+        self.simulate(0, u64::MAX);
         self.finish()
     }
 
     /// Cumulative report for the machine's current mid-run state, without
-    /// disturbing it: static/clock energy for the elapsed cycles is
-    /// finished on a clone of the energy account.
+    /// disturbing it.
     fn snapshot_report(&self) -> SimReport {
-        let mut acct = self.acct.clone();
-        acct.finish_static(&self.cold_model, self.now);
-        self.build_report(&acct)
+        self.build_report(&self.energy())
     }
 
     /// Run until `b` instructions have committed, capturing cumulative
@@ -364,66 +371,113 @@ impl<'w> Machine<'w> {
     /// contribution of the window past its warmup prefix.
     pub(crate) fn run_segment(mut self, a: u64, b: u64) -> (Option<SimReport>, SimReport) {
         debug_assert!(a < b, "segment start must precede its end");
-        if tev::active() || metrics::active() {
-            let label = format!("{}/{}", self.label, self.wl.profile.name);
-            tev::begin_run(&label);
-            metrics::begin_run(&label);
+        match self.simulate(a, b) {
+            (first, Some(last)) => (first, last),
+            (first, None) => (first, self.finish()),
+        }
+    }
+
+    /// The cycle loop shared by [`Machine::run`] and
+    /// [`Machine::run_segment`]. Ticks until the machine drains or reaches
+    /// the cycle cap, jumping over idle cycles ([`Machine::skip_idle`]).
+    /// Snapshots the report at the first commit boundary at-or-past
+    /// `snap_at` (never when it is 0) and stops with a second snapshot once
+    /// `stop_at` instructions have committed.
+    fn simulate(&mut self, snap_at: u64, stop_at: u64) -> (Option<SimReport>, Option<SimReport>) {
+        let label = (tev::active() || metrics::active() || profile::active())
+            .then(|| format!("{}/{}", self.label, self.wl.profile.name));
+        if let Some(label) = &label {
+            tev::begin_run(label);
+            metrics::begin_run(label);
         }
         let _prof = profile::scope("machine.run");
         let cycle_cap = self.oracle.remaining() * 400 + 5_000_000;
-        let mut first = None;
+        let (mut first, mut last) = (None, None);
         while !self.done() && self.now < cycle_cap {
-            self.tick();
-            let insts: u64 = self.cores.iter().map(|c| c.stats().committed_insts).sum();
-            if first.is_none() && a > 0 && insts >= a {
+            let active = self.tick();
+            if first.is_none() && snap_at > 0 && self.insts >= snap_at {
                 first = Some(self.snapshot_report());
             }
-            if insts >= b {
-                return (first, self.snapshot_report());
+            if self.insts >= stop_at {
+                last = Some(self.snapshot_report());
+                break;
+            }
+            if !active {
+                self.skip_idle(cycle_cap);
             }
         }
-        debug_assert!(self.done(), "simulation hit the cycle cap — livelock?");
-        (first, self.finish())
+        debug_assert!(
+            last.is_some() || self.done(),
+            "simulation hit the cycle cap — livelock?"
+        );
+        if let Some(label) = &label {
+            profile::record_run(label, self.ticks, self.now - self.ticks);
+        }
+        (first, last)
     }
 
-    fn tick(&mut self) {
+    /// Simulate one cycle. Returns whether anything happened: a tick that
+    /// returns false changed nothing but the clock and the cores' idle
+    /// statistics, and every later tick does the same until the next event
+    /// [`Machine::skip_idle`] looks for.
+    fn tick(&mut self) -> bool {
         tev::set_clock(self.now);
         // Arm the sampled stage timers for 1-in-N ticks (see
         // telemetry::profile): stage guards below and inside the uarch core
         // and frontend are inert Cell reads on unarmed ticks.
         profile::cycle_tick();
+        self.ticks += 1;
         // Writeback → commit → issue on every core, then dispatch and fetch.
-        for i in 0..self.cores.len() {
-            let model = if i == 0 {
-                self.cold_model.clone()
-            } else {
-                self.hot_model.clone()
-            };
-            if let Some(c) = self.cores[i].writeback(self.now, &model, &mut self.acct) {
-                self.frontend.branch_resolved(c);
+        let mut active = false;
+        for (core, acct) in self.cores.iter_mut().zip(&mut self.accts) {
+            let c = core.cycle(self.now, &mut self.mem, acct);
+            if let Some(resolved) = c.resolved {
+                self.frontend.branch_resolved(resolved);
             }
-            self.cores[i].commit(self.now, &mut self.mem, &model, &mut self.acct);
-            self.cores[i].issue(self.now, &mut self.mem, &model, &mut self.acct);
+            self.insts += u64::from(c.committed_insts);
+            active |= c.active();
         }
         {
             let _stage = profile::stage(profile::Stage::Dispatch);
-            self.dispatch();
+            active |= self.dispatch();
         }
-        self.fetch();
+        active |= self.fetch();
         self.now += 1;
-        if metrics::active() {
-            let insts: u64 = self.cores.iter().map(|c| c.stats().committed_insts).sum();
-            if metrics::due(insts) {
-                let _stage = profile::stage(profile::Stage::Accounting);
-                self.publish_metrics(insts);
+        if metrics::due(self.insts) {
+            let _stage = profile::stage(profile::Stage::Accounting);
+            self.publish_metrics(self.priced().total());
+        }
+        active
+    }
+
+    /// After an idle tick, jump the clock to the next cycle at which
+    /// anything can happen — a core's next completion or divider release,
+    /// the end of a front-end stall or of a state-switch dispatch block —
+    /// or to `cap`. An event due exactly at the current cycle stops the
+    /// jump. The skipped cycles are charged to each core's commit-stall,
+    /// issue and empty-or-blocked window counts in bulk, exactly as ticking
+    /// through them would.
+    fn skip_idle(&mut self, cap: u64) {
+        let now = self.now;
+        let stalls = [self.frontend.resume_at(), self.dispatch_blocked_until];
+        let next = self
+            .cores
+            .iter()
+            .filter_map(|c| c.next_event(now))
+            .chain(stalls.into_iter().filter(|&t| t >= now))
+            .fold(cap, u64::min);
+        if next > now {
+            for core in &mut self.cores {
+                core.skip_idle(next - now);
             }
+            self.now = next;
         }
     }
 
     /// Publish the authoritative cumulative counters and record one metric
     /// snapshot row. Counters are *set*, not incremented, so the final row
     /// of a run reconciles exactly with the [`SimReport`]/[`TraceReport`].
-    fn publish_metrics(&self, insts: u64) {
+    fn publish_metrics(&self, energy: f64) {
         if let Some(ts) = &self.trace {
             metrics::counter_set("trace_entries", ts.entries);
             metrics::counter_set("trace_aborts", ts.aborts);
@@ -458,13 +512,15 @@ impl<'w> Machine<'w> {
             metrics::counter_set("replay:read", self.oracle.pulled());
         }
         metrics::counter_set("state_switches", self.switches);
-        metrics::gauge_set("energy", self.acct.total());
-        metrics::snapshot(insts, self.now);
+        metrics::gauge_set("energy", energy);
+        metrics::snapshot(self.insts, self.now);
     }
 
-    fn dispatch(&mut self) {
+    /// Rename queued uops into their core. Returns whether any uop moved
+    /// or a split machine switched cores.
+    fn dispatch(&mut self) -> bool {
         if self.now < self.dispatch_blocked_until {
-            return;
+            return false;
         }
         let split = self.cores.len() > 1;
         let mut dispatched = [0u32; 2];
@@ -491,10 +547,9 @@ impl<'w> Machine<'w> {
                     tev::track::MACHINE,
                     tev::arg1("to_hot", if phys_side == Side::Hot { 1.0 } else { 0.0 }),
                 );
-                self.acct
-                    .emit_n(&self.cold_model, Event::StateSwitchReg, SWITCH_REGS);
+                self.accts[0].emit_n(Event::StateSwitchReg, SWITCH_REGS);
                 self.dispatch_blocked_until = self.now + SWITCH_PENALTY;
-                break;
+                return true;
             }
             let idx = if split && phys_side == Side::Hot {
                 1
@@ -517,29 +572,26 @@ impl<'w> Machine<'w> {
             if !self.cores[idx].can_dispatch(&d) {
                 break;
             }
-            let model = if idx == 0 {
-                self.cold_model.clone()
-            } else {
-                self.hot_model.clone()
-            };
-            self.cores[idx].dispatch(&d, &model, &mut self.acct);
+            self.cores[idx].dispatch(&d, &mut self.accts[idx]);
             self.queue.pop_front();
             dispatched[idx] += 1;
         }
+        dispatched != [0, 0]
     }
 
-    fn fetch(&mut self) {
+    /// Fetch from the hot or cold pipeline. Returns whether anything was
+    /// delivered, attempted or looked up.
+    fn fetch(&mut self) -> bool {
         // Continue streaming an active hot run.
         if self.trace.as_ref().is_some_and(|t| t.hot_run.is_some()) {
             let _stage = profile::stage(profile::Stage::TraceCache);
-            self.deliver_hot();
-            return;
+            return self.deliver_hot();
         }
         if !self.frontend.ready(self.now) || self.queue.len() >= self.queue_cap {
-            return;
+            return false;
         }
         if self.oracle.exhausted() {
-            return;
+            return false;
         }
         // At a trace boundary (including an imminent capacity cut), the
         // fetch selector tries the hot pipeline.
@@ -556,19 +608,18 @@ impl<'w> Machine<'w> {
                 None => false,
             }
         };
-        if self.oracle.cursor() >= self.hot_block_cursor && at_boundary && self.attempt_hot_entry()
-        {
-            return;
+        let attempted = self.oracle.cursor() >= self.hot_block_cursor && at_boundary;
+        if attempted && self.attempt_hot_entry() {
+            return true;
         }
         // Cold pipeline fetch.
         let before = self.oracle.cursor();
-        self.frontend.fetch_cycle(
+        let fetched = self.frontend.fetch_cycle(
             self.now,
             &mut self.oracle,
             self.wl,
             &mut self.mem,
-            &self.cold_model,
-            &mut self.acct,
+            &mut self.accts[0],
             &mut self.cold_buf,
         );
         while let Some(d) = self.cold_buf.pop_front() {
@@ -583,16 +634,10 @@ impl<'w> Machine<'w> {
             ts.cold_insts += after - before;
             for seq in before..after {
                 let d = self.oracle.get(seq).expect("recently consumed");
-                ts.observe_inst(
-                    &d,
-                    seq,
-                    self.wl,
-                    &self.cold_model,
-                    &mut self.acct,
-                    &mut self.faults,
-                );
+                ts.observe_inst(&d, seq, self.wl, &mut self.accts[0], &mut self.faults);
             }
         }
+        attempted || fetched
     }
 
     /// Try to enter the hot pipeline at the current trace boundary. Returns
@@ -636,19 +681,14 @@ impl<'w> Machine<'w> {
             }
         }
 
-        self.acct.emit(&self.cold_model, Event::TpredLookup);
+        self.accts[0].emit(Event::TpredLookup);
         let pending_key = ts.selector.pending_tid().map(|t| t.key());
         let predicted = ts.tpred.predict_with(pending_key);
-        self.acct.emit(&self.cold_model, Event::TcTagAccess);
+        self.accts[0].emit(Event::TcTagAccess);
 
         // Collect confident path variants resident at this fetch address.
-        let variants: Vec<parrot_trace::Tid> = ts
-            .tc
-            .variants_at(start_pc)
-            .into_iter()
-            .filter(|f| f.live_conf >= 2)
-            .map(|f| f.tid)
-            .collect();
+        ts.tc.variants_at(start_pc, 2, &mut ts.variants);
+        let variants = &ts.variants;
         if variants.is_empty() {
             ts.no_variant += 1;
             return false;
@@ -662,7 +702,7 @@ impl<'w> Machine<'w> {
                 } else {
                     let mut best = variants[0];
                     let mut best_score = i32::MIN;
-                    for tid in &variants {
+                    for tid in variants {
                         let frame = ts.tc.peek(tid).expect("resident");
                         let mut score = 0i32;
                         for (pc, taken) in &frame.path {
@@ -790,8 +830,8 @@ impl<'w> Machine<'w> {
                 "abort_latency_cycles",
                 u64::from(ts.cfg.abort_penalty) + flushed,
             );
-            self.acct.emit_n(&self.cold_model, Event::TcRead, frame_len);
-            self.acct.emit_n(&self.cold_model, Event::FlushUop, flushed);
+            self.accts[0].emit_n(Event::TcRead, frame_len);
+            self.accts[0].emit_n(Event::FlushUop, flushed);
             self.frontend
                 .block_until(now + u64::from(ts.cfg.abort_penalty));
             // Require cold progress before the next hot attempt.
@@ -814,7 +854,7 @@ impl<'w> Machine<'w> {
         );
 
         // Blazing filter: promote the most frequent traces to the optimizer.
-        self.acct.emit(&self.cold_model, Event::BlazingFilterAccess);
+        self.accts[0].emit(Event::BlazingFilterAccess);
         let bcount = ts.blazing.bump(chosen.key());
         if let Some(optz) = &mut ts.optimizer {
             let qualifies = bcount >= ts.cfg.blazing_filter.threshold;
@@ -859,24 +899,24 @@ impl<'w> Machine<'w> {
                         inj.counters.demoted += 1;
                     }
                 }
-                self.acct
-                    .emit_n(&self.cold_model, Event::OptimizerUop, outcome.work_uops);
-                self.acct
-                    .emit_n(&self.cold_model, Event::TcWrite, f.uops.len() as u64);
+                self.accts[0].emit_n(Event::OptimizerUop, outcome.work_uops);
+                self.accts[0].emit_n(Event::TcWrite, f.uops.len() as u64);
                 ts.tc.replace_optimized(f);
             }
         }
 
         // Build the dispatchable uop stream (addresses patched below).
-        let (mut dus, addr_ref) = {
+        let mut dus = std::mem::take(&mut ts.spare_dus);
+        dus.clear();
+        ts.addr_ref.clear();
+        {
             let frame = ts.tc.fetch(&chosen).expect("resident");
             let last = frame.uops.len().saturating_sub(1);
-            let mut dus = Vec::with_capacity(frame.uops.len().max(1));
-            let mut addr_ref: Vec<Option<u32>> = Vec::with_capacity(frame.uops.len().max(1));
             for (i, u) in frame.uops.iter().enumerate() {
                 let credit = if i == last { frame.num_insts } else { 0 };
                 dus.push(DispatchUop::from_uop(u, 0, credit));
-                addr_ref.push(if u.is_mem() { Some(u.inst_idx) } else { None });
+                ts.addr_ref
+                    .push(if u.is_mem() { Some(u.inst_idx) } else { None });
             }
             if dus.is_empty() {
                 // The whole trace optimized away: a single credit-carrying nop.
@@ -884,34 +924,26 @@ impl<'w> Machine<'w> {
                 nop.kind = UopKind::Nop;
                 nop.dst = None;
                 dus.push(DispatchUop::from_uop(&nop, 0, frame.num_insts));
-                addr_ref.push(None);
+                ts.addr_ref.push(None);
             }
-            (dus, addr_ref)
-        };
+        }
 
         // Consume the covered instructions from the oracle, feeding the
         // background phase and collecting current effective addresses.
         let from = self.oracle.cursor();
-        let mut inst_addrs = Vec::with_capacity(num_insts as usize);
+        ts.inst_addrs.clear();
         for _ in 0..num_insts {
             let d = self.oracle.pop().expect("matched path exists");
-            inst_addrs.push(d.eff_addr);
+            ts.inst_addrs.push(d.eff_addr);
         }
         ts.hot_insts += u64::from(num_insts);
         for seq in from..from + u64::from(num_insts) {
             let d = self.oracle.get(seq).expect("recently consumed");
-            ts.observe_inst(
-                &d,
-                seq,
-                self.wl,
-                &self.cold_model,
-                &mut self.acct,
-                &mut self.faults,
-            );
+            ts.observe_inst(&d, seq, self.wl, &mut self.accts[0], &mut self.faults);
         }
-        for (du, ar) in dus.iter_mut().zip(&addr_ref) {
+        for (du, ar) in dus.iter_mut().zip(&ts.addr_ref) {
             if let Some(ii) = ar {
-                du.eff_addr = inst_addrs[*ii as usize];
+                du.eff_addr = ts.inst_addrs[*ii as usize];
             }
         }
         let optimized = ts.tc.peek(&chosen).map(|f| f.opt_level) == Some(OptLevel::Optimized);
@@ -937,9 +969,15 @@ impl<'w> Machine<'w> {
         true
     }
 
-    fn deliver_hot(&mut self) {
-        let Some(ts) = &mut self.trace else { return };
-        let Some(run) = &mut ts.hot_run else { return };
+    /// Stream the active hot run into the queue. Returns whether any uop
+    /// was delivered.
+    fn deliver_hot(&mut self) -> bool {
+        let Some(ts) = &mut self.trace else {
+            return false;
+        };
+        let Some(run) = &mut ts.hot_run else {
+            return false;
+        };
         let width = ts.cfg.hot_fetch_uops as usize;
         let side = if run.optimized {
             Side::HotOpt
@@ -954,12 +992,14 @@ impl<'w> Machine<'w> {
                 self.store_hash = fnv1a_u64(self.store_hash, du.eff_addr);
             }
             self.queue.push_back((side, du));
-            self.acct.emit(&self.cold_model, Event::TcRead);
+            self.accts[0].emit(Event::TcRead);
             run.pos += 1;
             n += 1;
         }
         if run.pos == run.dus.len() {
-            ts.hot_run = None;
+            if let Some(done) = ts.hot_run.take() {
+                ts.spare_dus = done.dus;
+            }
             if self.phase_hot && tev::active() {
                 // The trace has fully streamed: close the hot segment.
                 tev::complete(
@@ -974,11 +1014,11 @@ impl<'w> Machine<'w> {
                 self.phase_hot = false;
             }
         }
+        n > 0
     }
 
-    fn finish(mut self) -> SimReport {
-        self.acct.finish_static(&self.cold_model, self.now);
-        let insts: u64 = self.cores.iter().map(|c| c.stats().committed_insts).sum();
+    fn finish(self) -> SimReport {
+        let energy = self.energy();
         if tev::active() {
             // Close the open fetch-phase span at end of simulation.
             let name = if self.phase_hot { "hot" } else { "cold" };
@@ -994,18 +1034,31 @@ impl<'w> Machine<'w> {
         if metrics::active() {
             // Forced final snapshot: the last JSONL row carries the run's
             // final cumulative counters, equal to the report below.
-            self.publish_metrics(insts);
+            self.publish_metrics(energy.total());
         }
-        let acct = std::mem::take(&mut self.acct);
-        self.build_report(&acct)
+        self.build_report(&energy)
     }
 
-    /// The report for the machine's current cumulative state, with energy
-    /// read from `acct` (the caller finishes static energy on it — on the
-    /// live account at end of run, or on a clone for a mid-run snapshot
-    /// that must not disturb the machine).
-    fn build_report(&self, acct: &EnergyAccount) -> SimReport {
-        let insts: u64 = self.cores.iter().map(|c| c.stats().committed_insts).sum();
+    /// Dynamic energy so far: each side's event counts priced under its
+    /// own model.
+    fn priced(&self) -> Energy {
+        let mut energy = self.accts[0].price(&self.cold_model);
+        energy.merge(&self.accts[1].price(&self.hot_model));
+        energy
+    }
+
+    /// Total energy so far: [`Machine::priced`] plus clock and leakage for
+    /// the elapsed cycles.
+    fn energy(&self) -> Energy {
+        let mut energy = self.priced();
+        energy.finish_static(&self.cold_model, self.now);
+        energy
+    }
+
+    /// The report for the machine's current cumulative state, with the
+    /// given energy (at end of run or at a mid-run snapshot).
+    fn build_report(&self, energy: &Energy) -> SimReport {
+        let insts = self.insts;
         let uops: u64 = self.cores.iter().map(|c| c.stats().committed_uops).sum();
         let fe = self.frontend.stats();
         let trace = self.trace.as_ref().map(|ts| {
@@ -1069,8 +1122,8 @@ impl<'w> Machine<'w> {
             insts,
             uops,
             cycles: self.now,
-            energy: acct.total(),
-            energy_by_unit: SimReport::breakdown_from(acct),
+            energy: energy.total(),
+            energy_by_unit: SimReport::breakdown_from(energy),
             cond_branches: fe.cond_branches,
             cond_mispredicts: fe.cond_mispredicts,
             iq_empty_cycles: self.cores.iter().map(|c| c.stats().iq_empty_cycles).sum(),

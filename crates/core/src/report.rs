@@ -3,7 +3,7 @@
 
 use crate::faults::FaultReport;
 use parrot_energy::metrics::RunSummary;
-use parrot_energy::{EnergyAccount, Unit};
+use parrot_energy::{Energy, Unit};
 use parrot_telemetry::json::Value;
 
 /// PARROT trace-subsystem results for one run.
@@ -274,11 +274,11 @@ impl SimReport {
             .unwrap_or(0.0)
     }
 
-    /// Build the per-unit breakdown from an account.
-    pub fn breakdown_from(acct: &EnergyAccount) -> Vec<(String, f64)> {
+    /// Build the per-unit breakdown from priced energy.
+    pub fn breakdown_from(energy: &Energy) -> Vec<(String, f64)> {
         Unit::ALL
             .iter()
-            .map(|u| (u.label().to_string(), acct.unit_energy(*u)))
+            .map(|u| (u.label().to_string(), energy.unit_energy(*u)))
             .collect()
     }
 

@@ -1,49 +1,83 @@
 use crate::{EnergyModel, Event, Unit};
 
-/// Accumulated energy and event counts for one simulation run.
+/// Event counts for one simulation run, or for one side of a split machine.
 ///
-/// The timing models call [`EnergyAccount::emit`] for every activity; at the
-/// end of simulation [`EnergyAccount::finish_static`] adds the per-cycle
-/// clock and leakage energy. Breakdown by [`Unit`] reproduces Fig 4.11.
-#[derive(Clone, Debug, Default)]
+/// The timing models call [`EnergyAccount::emit`] for every activity; that is
+/// a single integer add, with no price attached. After the run (or at a
+/// mid-run snapshot) [`EnergyAccount::price`] applies an [`EnergyModel`] once
+/// to turn the counts into [`Energy`]. The same counts can be re-priced under
+/// any model without re-simulating.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EnergyAccount {
-    by_unit: Vec<f64>,
-    counts: Vec<u64>,
-    total: f64,
-    static_done: bool,
+    counts: [u64; Event::COUNT],
+}
+
+impl Default for EnergyAccount {
+    fn default() -> EnergyAccount {
+        EnergyAccount::new()
+    }
 }
 
 impl EnergyAccount {
     /// Empty account.
     pub fn new() -> EnergyAccount {
         EnergyAccount {
-            by_unit: vec![0.0; Unit::ALL.len()],
-            counts: vec![0; Event::COUNT],
-            total: 0.0,
-            static_done: false,
+            counts: [0; Event::COUNT],
         }
     }
 
     /// Record one occurrence of `event`.
     #[inline]
-    pub fn emit(&mut self, model: &EnergyModel, event: Event) {
-        self.emit_n(model, event, 1);
+    pub fn emit(&mut self, event: Event) {
+        self.counts[event.index()] += 1;
     }
 
     /// Record `n` occurrences of `event`.
     #[inline]
-    pub fn emit_n(&mut self, model: &EnergyModel, event: Event, n: u64) {
-        let e = model.cost(event) * n as f64;
+    pub fn emit_n(&mut self, event: Event, n: u64) {
         self.counts[event.index()] += n;
-        self.by_unit[event.unit().index()] += e;
-        self.total += e;
     }
 
+    /// Number of occurrences of `event` recorded.
+    pub fn count(&self, event: Event) -> u64 {
+        self.counts[event.index()]
+    }
+
+    /// Add another account's counts into this one.
+    pub fn merge(&mut self, other: &EnergyAccount) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+    }
+
+    /// The dynamic energy of these counts under `model` (no clock or
+    /// leakage; add those with [`Energy::finish_static`]).
+    pub fn price(&self, model: &EnergyModel) -> Energy {
+        let mut energy = Energy::default();
+        for e in Event::ALL {
+            let spent = model.cost(e) * self.counts[e.index()] as f64;
+            energy.by_unit[e.unit().index()] += spent;
+            energy.total += spent;
+        }
+        energy
+    }
+}
+
+/// Priced energy (arbitrary units), broken down by [`Unit`]. Breakdown by
+/// unit reproduces Fig 4.11.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Energy {
+    by_unit: [f64; Unit::COUNT],
+    total: f64,
+    static_done: bool,
+}
+
+impl Energy {
     /// Add clock and leakage energy for `cycles` simulated cycles. Call once,
-    /// at the end of simulation.
+    /// after pricing every account of the run.
     ///
     /// # Panics
-    /// Panics if called twice on the same account.
+    /// Panics if called twice on the same energy.
     pub fn finish_static(&mut self, model: &EnergyModel, cycles: u64) {
         assert!(!self.static_done, "finish_static called twice");
         self.static_done = true;
@@ -54,7 +88,7 @@ impl EnergyAccount {
         self.total += clock + leak;
     }
 
-    /// Total energy so far (arbitrary units).
+    /// Total energy (arbitrary units).
     pub fn total(&self) -> f64 {
         self.total
     }
@@ -73,11 +107,6 @@ impl EnergyAccount {
         }
     }
 
-    /// Number of occurrences of `event` recorded.
-    pub fn count(&self, event: Event) -> u64 {
-        self.counts[event.index()]
-    }
-
     /// Breakdown over all units, in [`Unit::ALL`] order: `(unit, energy)`.
     pub fn breakdown(&self) -> Vec<(Unit, f64)> {
         Unit::ALL
@@ -86,16 +115,14 @@ impl EnergyAccount {
             .collect()
     }
 
-    /// Merge another account into this one (e.g. per-core accounts of a
-    /// split machine).
-    pub fn merge(&mut self, other: &EnergyAccount) {
+    /// Add another priced energy into this one (e.g. the two cores of a
+    /// split machine, each priced under its own model).
+    pub fn merge(&mut self, other: &Energy) {
         for (a, b) in self.by_unit.iter_mut().zip(&other.by_unit) {
             *a += b;
         }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
         self.total += other.total;
+        self.static_done |= other.static_done;
     }
 }
 
@@ -112,18 +139,18 @@ mod tests {
     fn totals_equal_sum_of_units() {
         let m = model();
         let mut a = EnergyAccount::new();
-        a.emit(&m, Event::ExecAlu);
-        a.emit_n(&m, Event::L1dAccess, 10);
-        a.finish_static(&m, 100);
-        let sum: f64 = a.breakdown().iter().map(|(_, e)| e).sum();
-        assert!((sum - a.total()).abs() < 1e-9);
+        a.emit(Event::ExecAlu);
+        a.emit_n(Event::L1dAccess, 10);
+        let mut e = a.price(&m);
+        e.finish_static(&m, 100);
+        let sum: f64 = e.breakdown().iter().map(|(_, e)| e).sum();
+        assert!((sum - e.total()).abs() < 1e-9);
     }
 
     #[test]
     fn counts_recorded() {
-        let m = model();
         let mut a = EnergyAccount::new();
-        a.emit_n(&m, Event::CommitUop, 42);
+        a.emit_n(Event::CommitUop, 42);
         assert_eq!(a.count(Event::CommitUop), 42);
         assert_eq!(a.count(Event::ExecAlu), 0);
     }
@@ -132,9 +159,10 @@ mod tests {
     fn shares_sum_to_one() {
         let m = model();
         let mut a = EnergyAccount::new();
-        a.emit_n(&m, Event::ExecAlu, 5);
-        a.finish_static(&m, 10);
-        let s: f64 = Unit::ALL.iter().map(|u| a.unit_share(*u)).sum();
+        a.emit_n(Event::ExecAlu, 5);
+        let mut e = a.price(&m);
+        e.finish_static(&m, 10);
+        let s: f64 = Unit::ALL.iter().map(|u| e.unit_share(*u)).sum();
         assert!((s - 1.0).abs() < 1e-9);
     }
 
@@ -142,9 +170,9 @@ mod tests {
     #[should_panic]
     fn double_finish_panics() {
         let m = model();
-        let mut a = EnergyAccount::new();
-        a.finish_static(&m, 1);
-        a.finish_static(&m, 1);
+        let mut e = EnergyAccount::new().price(&m);
+        e.finish_static(&m, 1);
+        e.finish_static(&m, 1);
     }
 
     #[test]
@@ -152,13 +180,28 @@ mod tests {
         let m = model();
         let mut a = EnergyAccount::new();
         let mut b = EnergyAccount::new();
-        a.emit(&m, Event::ExecAlu);
-        b.emit(&m, Event::ExecAlu);
-        b.emit(&m, Event::RegRead);
+        a.emit(Event::ExecAlu);
+        b.emit(Event::ExecAlu);
+        b.emit(Event::RegRead);
         a.merge(&b);
         assert_eq!(a.count(Event::ExecAlu), 2);
         assert_eq!(a.count(Event::RegRead), 1);
-        assert!((a.total() - (2.0 * m.cost(Event::ExecAlu) + m.cost(Event::RegRead))).abs() < 1e-9);
+        let total = a.price(&m).total();
+        assert!((total - (2.0 * m.cost(Event::ExecAlu) + m.cost(Event::RegRead))).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pricing_once_matches_pricing_every_event() {
+        let m = model();
+        let mut a = EnergyAccount::new();
+        let mut running = 0.0;
+        for (i, e) in Event::ALL.iter().enumerate() {
+            let n = i as u64 * 7 + 1;
+            a.emit_n(*e, n);
+            running += m.cost(*e) * n as f64;
+        }
+        let priced = a.price(&m).total();
+        assert!((priced - running).abs() <= 1e-12 * running);
     }
 }
 
@@ -174,16 +217,18 @@ mod merge_edge_tests {
         // Two accounts priced by different models (split machine): totals
         // and unit sums must stay consistent after merging.
         let mut cold = EnergyAccount::new();
-        cold.emit_n(&m, Event::DecodeSimple, 100);
-        cold.emit_n(&m, Event::ExecAlu, 50);
+        cold.emit_n(Event::DecodeSimple, 100);
+        cold.emit_n(Event::ExecAlu, 50);
         let mut hot = EnergyAccount::new();
-        hot.emit_n(&w, Event::IqWakeup, 80);
-        hot.emit_n(&w, Event::ExecAlu, 70);
-        let hot_total = hot.total();
+        hot.emit_n(Event::IqWakeup, 80);
+        hot.emit_n(Event::ExecAlu, 70);
+        let hot_energy = hot.price(&w);
+        let mut energy = cold.price(&m);
+        energy.merge(&hot_energy);
+        let sum: f64 = energy.breakdown().iter().map(|(_, e)| e).sum();
+        assert!((sum - energy.total()).abs() < 1e-9);
+        assert!(energy.total() > hot_energy.total());
         cold.merge(&hot);
-        let sum: f64 = cold.breakdown().iter().map(|(_, e)| e).sum();
-        assert!((sum - cold.total()).abs() < 1e-9);
-        assert!(cold.total() > hot_total);
         assert_eq!(cold.count(Event::ExecAlu), 120);
     }
 }

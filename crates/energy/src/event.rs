@@ -59,12 +59,13 @@ impl Unit {
         Unit::Leakage,
     ];
 
+    /// Number of distinct units.
+    pub const COUNT: usize = Self::ALL.len();
+
     /// Dense index for table storage.
+    #[inline]
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|u| *u == self)
-            .expect("unit in ALL")
+        self as usize
     }
 
     /// Short display label.
@@ -243,6 +244,7 @@ impl Event {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Dense index for cost tables.
+    #[inline]
     pub fn index(self) -> usize {
         self as usize
     }

@@ -10,9 +10,12 @@
 //! 2. costs are derived from a machine description ([`EnergyConfig`]) with
 //!    width/size scaling, so an 8-wide decoder or a 64-entry scheduler pays
 //!    superlinearly more per access than a 4-wide/32-entry one;
-//! 3. the timing simulation counts events into an [`EnergyAccount`];
+//! 3. the timing simulation only counts events into an [`EnergyAccount`]
+//!    (one integer add per activity); the counts are priced once, after the
+//!    run, by [`EnergyAccount::price`], which yields an [`Energy`];
 //! 4. static energy (clock + leakage) accrues per cycle, leakage following
-//!    the paper's formula `LE = P_MAX · (0.05·M + 0.4·K) · CYC`;
+//!    the paper's formula `LE = P_MAX · (0.05·M + 0.4·K) · CYC`, and is added
+//!    by [`Energy::finish_static`];
 //! 5. results are compared via total energy and the cubic-MIPS-per-WATT
 //!    power-awareness metric ([`metrics`]).
 //!
@@ -20,13 +23,19 @@
 //! ours) are ratios between machine models, never absolute Joules.
 //!
 //! ```
-//! use parrot_energy::{EnergyConfig, EnergyModel, EnergyAccount, Event};
+//! use parrot_energy::{EnergyAccount, EnergyConfig, EnergyModel, Event};
 //!
-//! let model = EnergyModel::new(&EnergyConfig::narrow());
+//! // The timing loop counts; it never sees a price.
 //! let mut acct = EnergyAccount::new();
-//! acct.emit(&model, Event::ExecAlu);
-//! acct.finish_static(&model, 1_000); // 1000 cycles of clock + leakage
-//! assert!(acct.total() > 0.0);
+//! acct.emit(Event::ExecAlu);
+//! acct.emit_n(Event::RegRead, 2);
+//! assert_eq!(acct.count(Event::RegRead), 2);
+//!
+//! // After the run, price the counts once and add static energy.
+//! let model = EnergyModel::new(&EnergyConfig::narrow());
+//! let mut energy = acct.price(&model);
+//! energy.finish_static(&model, 1_000); // 1000 cycles of clock + leakage
+//! assert!(energy.total() > 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -36,6 +45,6 @@ mod event;
 pub mod metrics;
 mod model;
 
-pub use account::EnergyAccount;
+pub use account::{Energy, EnergyAccount};
 pub use event::{Event, Unit};
 pub use model::{EnergyConfig, EnergyModel};

@@ -22,7 +22,10 @@
 //! 1-in-[`STAGE_STRIDE`] ticks; [`stage`] guards are inert single-`Cell`
 //! reads on unarmed ticks and real timers on armed ones. Reported stage
 //! totals are estimates (sampled time × stride, marked `~` in the report);
-//! per-stage histograms and max are over the sampled entries.
+//! per-stage histograms and max are over the sampled entries. Only
+//! simulated ticks call [`cycle_tick`]: idle cycles the machine jumps over
+//! are never sampled, and [`record_run`] reports ticks against skipped
+//! cycles per run.
 //!
 //! # Flamegraphs
 //!
@@ -71,7 +74,7 @@ pub enum Stage {
     Exec = 3,
     /// Dispatch from the fetch queue into the core.
     Dispatch = 4,
-    /// Energy accounting and metrics publication.
+    /// Metrics publication (pricing the energy counts for the gauge).
     Accounting = 5,
 }
 
@@ -177,6 +180,14 @@ struct StageStat {
     hist: LogHist,
 }
 
+/// Simulated ticks and skipped idle cycles of one machine run.
+#[derive(Clone, Debug)]
+struct RunCycles {
+    label: String,
+    ticks: u64,
+    skipped: u64,
+}
+
 /// Wall-clock section profiler.
 #[derive(Debug)]
 pub struct Profiler {
@@ -193,6 +204,8 @@ pub struct Profiler {
     /// Per-sweep-worker section totals, accumulated by
     /// [`Profiler::absorb_worker`] and reported as attribution sub-tables.
     workers: Vec<(u32, Vec<Section>)>,
+    /// Per-run cycle-loop counts, in recording order (see [`record_run`]).
+    runs: Vec<RunCycles>,
 }
 
 impl Default for Profiler {
@@ -231,6 +244,7 @@ impl Profiler {
             epoch: Instant::now(),
             stages: vec![StageStat::default(); STAGE_COUNT],
             workers: Vec::new(),
+            runs: Vec::new(),
         }
     }
 
@@ -268,6 +282,7 @@ impl Profiler {
             merge_sections(&mut bucket, &other.sections);
             self.workers.push((worker, bucket));
         }
+        self.runs.extend(other.runs);
         for (w, shard_bucket) in other.workers {
             if let Some((_, bucket)) = self.workers.iter_mut().find(|(sw, _)| *sw == w) {
                 merge_sections(bucket, &shard_bucket);
@@ -387,6 +402,28 @@ impl Profiler {
                     fmt_us(st.hist.percentile(95.0)),
                     fmt_us(st.max_ns),
                 ));
+            }
+        }
+        if !self.runs.is_empty() {
+            out.push_str("\ncycle loop (simulated ticks vs idle cycles skipped)\n");
+            out.push_str(&format!(
+                "{:<28} {:>12} {:>12} {:>7}\n",
+                "run", "ticks", "skipped", "skip%"
+            ));
+            let row = |label: &str, ticks: u64, skipped: u64| {
+                let cycles = (ticks + skipped).max(1) as f64;
+                format!(
+                    "{label:<28} {ticks:>12} {skipped:>12} {:>6.1}%\n",
+                    100.0 * skipped as f64 / cycles
+                )
+            };
+            for r in &self.runs {
+                out.push_str(&row(&r.label, r.ticks, r.skipped));
+            }
+            if self.runs.len() > 1 {
+                let ticks = self.runs.iter().map(|r| r.ticks).sum();
+                let skipped = self.runs.iter().map(|r| r.skipped).sum();
+                out.push_str(&row("total", ticks, skipped));
             }
         }
         if !self.workers.is_empty() {
@@ -578,6 +615,23 @@ pub fn cycle_tick() {
     });
 }
 
+/// Record one machine run's cycle-loop counts: `ticks` cycles simulated and
+/// `skipped` idle cycles jumped over. No-op when no profiler is installed.
+pub fn record_run(label: &str, ticks: u64, skipped: u64) {
+    if !active() {
+        return;
+    }
+    PROFILER.with(|cell| {
+        if let Some(p) = cell.borrow_mut().as_mut() {
+            p.runs.push(RunCycles {
+                label: label.to_string(),
+                ticks,
+                skipped,
+            });
+        }
+    });
+}
+
 /// RAII guard attributing a cycle-loop stage. Obtain via [`stage`].
 #[must_use = "the stage ends when the guard is dropped"]
 pub struct StageScope {
@@ -744,5 +798,24 @@ mod tests {
         assert!(base.stage_stats(Stage::Frontend).is_some());
         assert!(base.collapsed().contains("work "));
         assert_eq!(base.worker_section(2, "work").unwrap().0, 1);
+    }
+
+    #[test]
+    fn run_cycles_are_reported_and_merged() {
+        record_run("TON/gcc", 1, 1); // no profiler installed: dropped
+        install(Profiler::new());
+        record_run("TON/gcc", 700, 300);
+        let shard = take().unwrap();
+        let mut base = Profiler::new();
+        base.absorb_worker(0, shard);
+        let report = base.report();
+        assert!(report.contains("cycle loop (simulated ticks vs idle cycles skipped)"));
+        let rows: Vec<&str> = report
+            .lines()
+            .filter(|l| l.starts_with("TON/gcc"))
+            .collect();
+        assert_eq!(rows.len(), 1, "one row per recorded run:\n{report}");
+        let cols: Vec<&str> = rows[0].split_whitespace().collect();
+        assert_eq!(cols, ["TON/gcc", "700", "300", "30.0%"]);
     }
 }

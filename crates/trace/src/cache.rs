@@ -248,20 +248,31 @@ impl TraceCache {
         base..base + self.cfg.ways as usize
     }
 
-    /// All resident frames starting at `start_pc` (path variants), most
-    /// recently used first.
-    pub fn variants_at(&self, start_pc: u64) -> Vec<&TraceFrame> {
-        let mut v: Vec<(&TraceFrame, u64)> = self.slots[self.set_range_pc(start_pc)]
-            .iter()
-            .filter_map(|s| {
-                s.frame
-                    .as_ref()
-                    .filter(|f| f.tid.start_pc == start_pc)
-                    .map(|f| (f, s.stamp))
-            })
-            .collect();
-        v.sort_by_key(|(_, stamp)| std::cmp::Reverse(*stamp));
-        v.into_iter().map(|(f, _)| f).collect()
+    /// The TIDs of resident frames starting at `start_pc` (path variants)
+    /// whose live confidence is at least `min_conf`, most recently used
+    /// first, written into `out` (cleared first; reusing one buffer keeps
+    /// hot fetch allocation-free).
+    pub fn variants_at(&self, start_pc: u64, min_conf: u8, out: &mut Vec<Tid>) {
+        out.clear();
+        let set = &self.slots[self.set_range_pc(start_pc)];
+        let stamp = |tid: &Tid| {
+            set.iter()
+                .find(|s| s.frame.as_ref().is_some_and(|f| f.tid == *tid))
+                .map_or(0, |s| s.stamp)
+        };
+        for s in set {
+            let Some(f) = &s.frame else { continue };
+            if f.tid.start_pc != start_pc || f.live_conf < min_conf {
+                continue;
+            }
+            // Insert before the first older variant: equal stamps keep
+            // slot order.
+            let at = out
+                .iter()
+                .position(|t| stamp(t) < s.stamp)
+                .unwrap_or(out.len());
+            out.insert(at, f.tid);
+        }
     }
 
     /// Look up a frame by TID, refreshing recency and bumping execution
@@ -833,15 +844,20 @@ mod confidence_tests {
         tc.insert(frame(0x100, &[true]));
         tc.insert(frame(0x100, &[false]));
         tc.insert(frame(0x200, &[true]));
-        let v = tc.variants_at(0x100);
+        let mut v = Vec::new();
+        tc.variants_at(0x100, 0, &mut v);
         assert_eq!(v.len(), 2, "both path variants of 0x100");
-        assert!(v.iter().all(|f| f.tid.start_pc == 0x100));
+        assert!(v.iter().all(|t| t.start_pc == 0x100));
         // Touch the older variant: it becomes MRU.
-        let t1 = v[1].tid;
+        let t1 = v[1];
         tc.fetch(&t1);
-        let v2 = tc.variants_at(0x100);
-        assert_eq!(v2[0].tid, t1, "MRU first");
-        assert!(tc.variants_at(0x300).is_empty());
+        tc.variants_at(0x100, 0, &mut v);
+        assert_eq!(v[0], t1, "MRU first");
+        // The confidence floor filters without reordering.
+        tc.variants_at(0x100, 2, &mut v);
+        assert!(v.is_empty(), "fresh frames start below confidence 2");
+        tc.variants_at(0x300, 0, &mut v);
+        assert!(v.is_empty());
     }
 
     #[test]

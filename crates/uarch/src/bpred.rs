@@ -61,7 +61,12 @@ pub struct HybridPredictor {
     chooser: Vec<u8>,
     history: u64,
     btb: Vec<(u64, u64)>, // (tag pc, target)
-    ras: Vec<u64>,
+    /// Return address stack as a fixed ring: `ras_top` is the next push
+    /// slot, `ras_len` the live depth (an overflowing push overwrites the
+    /// oldest entry).
+    ras: Box<[u64]>,
+    ras_top: usize,
+    ras_len: usize,
 }
 
 impl HybridPredictor {
@@ -82,7 +87,9 @@ impl HybridPredictor {
             chooser: vec![2; cfg.entries as usize],
             history: 0,
             btb: vec![(u64::MAX, 0); cfg.btb_entries as usize],
-            ras: Vec::with_capacity(cfg.ras_entries as usize),
+            ras: vec![0; cfg.ras_entries as usize].into_boxed_slice(),
+            ras_top: 0,
+            ras_len: 0,
         }
     }
 
@@ -143,15 +150,24 @@ impl HybridPredictor {
 
     /// Push a return address on a call.
     pub fn ras_push(&mut self, ret: u64) {
-        if self.ras.len() == self.cfg.ras_entries as usize {
-            self.ras.remove(0);
+        let n = self.ras.len();
+        if n == 0 {
+            return;
         }
-        self.ras.push(ret);
+        self.ras[self.ras_top] = ret;
+        self.ras_top = (self.ras_top + 1) % n;
+        self.ras_len = (self.ras_len + 1).min(n);
     }
 
     /// Pop the predicted return address.
     pub fn ras_pop(&mut self) -> Option<u64> {
-        self.ras.pop()
+        if self.ras_len == 0 {
+            return None;
+        }
+        let n = self.ras.len();
+        self.ras_top = (self.ras_top + n - 1) % n;
+        self.ras_len -= 1;
+        Some(self.ras[self.ras_top])
     }
 }
 
@@ -238,6 +254,28 @@ mod tests {
             p.ras_pop();
         }
         assert_eq!(p.ras_pop(), None);
+    }
+
+    #[test]
+    fn ras_ring_matches_a_bounded_stack() {
+        // Reference: a Vec that drops its oldest entry on overflow.
+        let mut p = pred();
+        let mut model: Vec<u64> = Vec::new();
+        let mut x = 0x9e37_79b9_u64;
+        for step in 0..2_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(3) {
+                assert_eq!(p.ras_pop(), model.pop(), "step {step}");
+            } else {
+                p.ras_push(step);
+                if model.len() == 16 {
+                    model.remove(0);
+                }
+                model.push(step);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! end can model the redirect.
 
 use crate::cache::{MemHierarchy, ServicedBy};
-use parrot_energy::{EnergyAccount, EnergyModel, Event};
+use parrot_energy::{EnergyAccount, Event};
 use parrot_isa::{ExecClass, Reg, Uop};
 use parrot_telemetry::profile;
 
@@ -181,6 +181,8 @@ impl DispatchUop {
 const NONE: u32 = u32::MAX;
 /// Completion-bucket ring size; must exceed the longest latency.
 const BUCKETS: usize = 256;
+/// Operand slots per uop, and so wakeup edges per ROB entry.
+const READS: usize = 4;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum UopState {
@@ -193,15 +195,23 @@ enum UopState {
 struct RobEntry {
     state: UopState,
     class: ExecClass,
-    dep_idx: [u32; 4],
-    dep_seq: [u64; 4],
     writes: [u8; 4], // register indices, 255 = none
     seq: u64,
     eff_addr: u64,
     reads: u8,
+    /// Operand reads whose producer has not written back yet; the uop is
+    /// ready to issue at 0.
+    pending: u8,
     inst_credit: u32,
     mispredict: bool,
     simd_lanes: u8,
+    /// Position in the issue window while waiting (out-of-order cores).
+    iq_pos: u32,
+    /// First wakeup edge of the consumers waiting on this uop (see
+    /// `OooCore::wake_next`), `NONE` when there are none.
+    wake_head: u32,
+    /// Next uop in the same completion bucket, `NONE` at the end.
+    next_done: u32,
 }
 
 impl RobEntry {
@@ -209,21 +219,23 @@ impl RobEntry {
         RobEntry {
             state: UopState::Done,
             class: ExecClass::Nop,
-            dep_idx: [NONE; 4],
-            dep_seq: [0; 4],
             writes: [255; 4],
             seq: 0,
             eff_addr: 0,
             reads: 0,
+            pending: 0,
             inst_credit: 0,
             mispredict: false,
             simd_lanes: 0,
+            iq_pos: NONE,
+            wake_head: NONE,
+            next_done: NONE,
         }
     }
 }
 
 /// Aggregate statistics of one core.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Uops committed.
     pub committed_uops: u64,
@@ -244,9 +256,43 @@ pub struct CoreStats {
     pub issue_cycles: u64,
 }
 
-/// The out-of-order core. Drive it each cycle with
-/// [`OooCore::writeback`], [`OooCore::commit`], [`OooCore::issue`] and
-/// [`OooCore::dispatch`] (in that order) from the machine loop.
+/// What one [`OooCore::cycle`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CycleOutcome {
+    /// Uops that completed execution (wrote back).
+    pub completed: u32,
+    /// Uops committed.
+    pub committed_uops: u32,
+    /// Macro-instructions committed.
+    pub committed_insts: u32,
+    /// Uops issued to execution.
+    pub issued: u32,
+    /// Resolution cycle of a completing mispredicted branch, if any (the
+    /// front end resumes at `resolution + mispredict_penalty`).
+    pub resolved: Option<u64>,
+}
+
+impl CycleOutcome {
+    /// Did the cycle change anything but the statistics? A core whose cycle
+    /// was inactive stays inactive until [`OooCore::next_event`] or a
+    /// dispatch.
+    pub fn active(&self) -> bool {
+        self.completed + self.committed_uops + self.issued > 0
+    }
+}
+
+/// The out-of-order core. Drive it each cycle with [`OooCore::cycle`]
+/// (writeback → commit → issue) and then [`OooCore::dispatch`]. When a
+/// whole machine cycle does nothing, [`OooCore::next_event`] names the next
+/// cycle at which the core can act on its own, and [`OooCore::skip_idle`]
+/// charges the cycles in between without simulating them.
+///
+/// Issue is event-driven: each waiting uop counts its producers that have
+/// not written back, and each producer keeps an intrusive list of its
+/// consumers (one edge per operand slot, in the flat `wake_next` array).
+/// Writeback decrements the counts and marks the window positions whose
+/// count reaches zero in a readiness bitset, so issue visits only ready
+/// positions, in the same order as a scan of the whole window.
 #[derive(Clone, Debug)]
 pub struct OooCore {
     cfg: CoreConfig,
@@ -258,9 +304,18 @@ pub struct OooCore {
     rat: [u32; 192],
     rat_seq: [u64; 192],
     iq: Vec<u32>,
+    /// Bit `p` is set when the uop at window position `p` is ready
+    /// (out-of-order cores only; in-order issue reads `pending` directly).
+    ready: Vec<u64>,
+    /// Wakeup edge `idx * READS + k` links ROB entry `idx`, operand `k`,
+    /// into its producer's consumer list; the value is the next edge.
+    wake_next: Vec<u32>,
     lsq_count: u32,
     div_busy_until: u64,
-    completions: Vec<Vec<u32>>,
+    /// Head of each completion bucket's list (threaded through
+    /// `RobEntry::next_done`), and one bit per non-empty bucket.
+    done_head: [u32; BUCKETS],
+    done_mask: [u64; BUCKETS / 64],
     stats: CoreStats,
 }
 
@@ -277,9 +332,12 @@ impl OooCore {
             rat: [NONE; 192],
             rat_seq: [0; 192],
             iq: Vec::with_capacity(cfg.iq_size as usize),
+            ready: vec![0; (cfg.iq_size as usize).div_ceil(64)],
+            wake_next: vec![NONE; cfg.rob_size as usize * READS],
             lsq_count: 0,
             div_busy_until: 0,
-            completions: vec![Vec::new(); BUCKETS],
+            done_head: [NONE; BUCKETS],
+            done_mask: [0; BUCKETS / 64],
             stats: CoreStats::default(),
         }
     }
@@ -304,54 +362,89 @@ impl OooCore {
         self.count
     }
 
-    /// Mark completions due at `now`; returns the resolution cycle of a
-    /// completing mispredicted branch, if any (the front end resumes at
-    /// `resolution + mispredict_penalty`).
-    pub fn writeback(
+    /// One cycle of the back end: writeback, commit, then issue.
+    pub fn cycle(
         &mut self,
         now: u64,
-        model: &EnergyModel,
+        mem: &mut MemHierarchy,
         acct: &mut EnergyAccount,
-    ) -> Option<u64> {
+    ) -> CycleOutcome {
         let _stage = profile::stage(profile::Stage::Exec);
+        let (completed, resolved) = self.writeback(now, acct);
+        let (committed_uops, committed_insts) = self.commit(mem, acct);
+        let issued = self.issue(now, mem, acct);
+        CycleOutcome {
+            completed,
+            committed_uops,
+            committed_insts,
+            issued,
+            resolved,
+        }
+    }
+
+    /// The earliest cycle at or after `now` at which this core can act
+    /// without new input: its next completion, or the divider freeing up.
+    pub fn next_event(&self, now: u64) -> Option<u64> {
+        let start = now as usize % BUCKETS;
+        let completion = first_set(&self.done_mask, start)
+            .or_else(|| first_set(&self.done_mask, 0))
+            .map(|bucket| now + ((bucket + BUCKETS - start) % BUCKETS) as u64);
+        let div = (self.div_busy_until >= now).then_some(self.div_busy_until);
+        completion.into_iter().chain(div).min()
+    }
+
+    /// Account `cycles` idle cycles in bulk, exactly as that many calls to
+    /// [`OooCore::cycle`] would when nothing completes, commits or issues:
+    /// each is a commit stall and an issue cycle, with an empty or blocked
+    /// window.
+    pub fn skip_idle(&mut self, cycles: u64) {
+        self.stats.commit_stall_cycles += cycles;
+        self.stats.issue_cycles += cycles;
+        if self.iq.is_empty() {
+            self.stats.iq_empty_cycles += cycles;
+        } else {
+            self.stats.issue_blocked_cycles += cycles;
+        }
+    }
+
+    /// Mark completions due at `now` and wake their consumers. Returns the
+    /// number of uops completed and the resolution cycle of a completing
+    /// mispredicted branch, if any.
+    fn writeback(&mut self, now: u64, acct: &mut EnergyAccount) -> (u32, Option<u64>) {
         let bucket = (now as usize) % BUCKETS;
+        let mut idx = std::mem::replace(&mut self.done_head[bucket], NONE);
+        self.done_mask[bucket / 64] &= !(1 << (bucket % 64));
+        let mut completed = 0;
         let mut resolved = None;
-        // Take the bucket to appease the borrow checker; it is re-filled empty.
-        let done = std::mem::take(&mut self.completions[bucket]);
-        for idx in &done {
-            let e = &mut self.rob[*idx as usize];
-            if e.state != UopState::Issued {
-                continue;
-            }
+        while idx != NONE {
+            let e = &mut self.rob[idx as usize];
+            let next = e.next_done;
             e.state = UopState::Done;
-            acct.emit(model, Event::IqWakeup);
-            let writes = e.writes;
-            let mispredict = e.mispredict;
-            for w in writes {
-                if w != 255 {
-                    acct.emit(model, Event::RegWrite);
-                }
-            }
-            if mispredict {
+            acct.emit(Event::IqWakeup);
+            let writes = e.writes.iter().filter(|w| **w != 255).count();
+            acct.emit_n(Event::RegWrite, writes as u64);
+            if e.mispredict {
                 resolved = Some(now);
             }
+            let mut edge = std::mem::replace(&mut e.wake_head, NONE);
+            while edge != NONE {
+                let c = &mut self.rob[edge as usize / READS];
+                c.pending -= 1;
+                if c.pending == 0 && !self.cfg.in_order {
+                    let pos = c.iq_pos as usize;
+                    self.set_ready_bit(pos, true);
+                }
+                edge = self.wake_next[edge as usize];
+            }
+            completed += 1;
+            idx = next;
         }
-        self.completions[bucket] = done;
-        self.completions[bucket].clear();
-        resolved
+        (completed, resolved)
     }
 
     /// Retire up to `commit_width` completed uops from the ROB head. Stores
     /// access the data cache at retirement. Returns (uops, insts) committed.
-    pub fn commit(
-        &mut self,
-        now: u64,
-        mem: &mut MemHierarchy,
-        model: &EnergyModel,
-        acct: &mut EnergyAccount,
-    ) -> (u32, u32) {
-        let _ = now;
-        let _stage = profile::stage(profile::Stage::Exec);
+    fn commit(&mut self, mem: &mut MemHierarchy, acct: &mut EnergyAccount) -> (u32, u32) {
         let mut uops = 0;
         let mut insts = 0;
         while self.count > 0 && uops < self.cfg.commit_width {
@@ -371,18 +464,18 @@ impl OooCore {
             }
             if e.class == ExecClass::Store {
                 let r = mem.access_data(e.eff_addr);
-                emit_data_events(r.serviced_by, model, acct);
+                emit_data_events(r.serviced_by, acct);
                 self.lsq_count = self.lsq_count.saturating_sub(1);
             }
             if e.class == ExecClass::Load {
                 self.lsq_count = self.lsq_count.saturating_sub(1);
             }
-            acct.emit(model, Event::CommitUop);
-            acct.emit(model, Event::RobRead);
+            acct.emit(Event::CommitUop);
+            acct.emit(Event::RobRead);
             self.stats.committed_uops += 1;
             uops += 1;
             if e.inst_credit > 0 {
-                acct.emit_n(model, Event::CommitInst, u64::from(e.inst_credit));
+                acct.emit_n(Event::CommitInst, u64::from(e.inst_credit));
                 self.stats.committed_insts += u64::from(e.inst_credit);
                 insts += e.inst_credit;
             }
@@ -395,138 +488,155 @@ impl OooCore {
         (uops, insts)
     }
 
-    /// Select and begin execution of ready uops, oldest first, bounded by
-    /// issue width and port counts.
-    pub fn issue(
-        &mut self,
-        now: u64,
-        mem: &mut MemHierarchy,
-        model: &EnergyModel,
-        acct: &mut EnergyAccount,
-    ) {
-        let _stage = profile::stage(profile::Stage::Exec);
+    /// Select and begin execution of ready uops, oldest window position
+    /// first, bounded by issue width and port counts. Returns the number of
+    /// uops issued.
+    fn issue(&mut self, now: u64, mem: &mut MemHierarchy, acct: &mut EnergyAccount) -> u32 {
         self.stats.issue_cycles += 1;
         if self.iq.is_empty() {
             self.stats.iq_empty_cycles += 1;
         }
-        // In-order issue examines the window in age order and stalls at the
-        // first non-ready uop; the window is re-sorted each cycle because
-        // issue removal perturbs it.
-        if self.cfg.in_order {
-            let rob = &self.rob;
-            self.iq.sort_unstable_by_key(|i| rob[*i as usize].seq);
-        }
+        let p = self.cfg.ports;
+        let mut ports = [p.int_alu, p.mem, p.fp, p.branch, p.simd];
         let mut issued = 0u32;
-        let mut ports_int = self.cfg.ports.int_alu;
-        let mut ports_mem = self.cfg.ports.mem;
-        let mut ports_fp = self.cfg.ports.fp;
-        let mut ports_br = self.cfg.ports.branch;
-        let mut ports_simd = self.cfg.ports.simd;
-        let mut i = 0;
-        while i < self.iq.len() && issued < self.cfg.issue_width {
-            let idx = self.iq[i] as usize;
-            let ready = {
-                let e = &self.rob[idx];
-                (0..4).all(|k| {
-                    let d = e.dep_idx[k];
-                    d == NONE || {
-                        let p = &self.rob[d as usize];
-                        p.seq != e.dep_seq[k] || p.state == UopState::Done
-                    }
-                })
-            };
-            if !ready {
-                if self.cfg.in_order {
-                    break; // strict age order: stall at the first non-ready uop
-                }
-                i += 1;
-                continue;
-            }
-            let class = self.rob[idx].class;
-            let port = match class {
-                ExecClass::IntAlu | ExecClass::IntMul | ExecClass::Nop => &mut ports_int,
-                ExecClass::IntDiv => {
-                    if now < self.div_busy_until {
-                        if self.cfg.in_order {
-                            break;
-                        }
-                        i += 1;
-                        continue;
-                    }
-                    &mut ports_int
-                }
-                ExecClass::FpAdd | ExecClass::FpMul | ExecClass::FpDiv => &mut ports_fp,
-                ExecClass::Load | ExecClass::Store => &mut ports_mem,
-                ExecClass::Branch => &mut ports_br,
-                ExecClass::Simd => &mut ports_simd,
-            };
-            if *port == 0 {
-                if self.cfg.in_order {
+        if self.cfg.in_order {
+            // The window is in age order (dispatch appends, issue removes
+            // the front): issue from the front and stall at the first uop
+            // that is not ready or cannot get its unit.
+            while issued < self.cfg.issue_width {
+                let Some(&idx) = self.iq.first() else { break };
+                if self.rob[idx as usize].pending > 0
+                    || !self.try_issue(idx as usize, now, &mut ports, mem, acct)
+                {
                     break;
                 }
-                i += 1;
-                continue;
+                self.iq.remove(0);
+                issued += 1;
             }
-            *port -= 1;
-
-            // Compute latency (loads probe the hierarchy now).
-            let latency = match class {
-                ExecClass::IntAlu | ExecClass::Branch | ExecClass::Nop | ExecClass::Store => 1,
-                ExecClass::IntMul => 3,
-                ExecClass::IntDiv => 16,
-                ExecClass::FpAdd => 3,
-                ExecClass::FpMul => 4,
-                ExecClass::FpDiv => 18,
-                ExecClass::Simd => 2,
-                ExecClass::Load => {
-                    let r = mem.access_data(self.rob[idx].eff_addr);
-                    emit_data_events(r.serviced_by, model, acct);
-                    if r.serviced_by != ServicedBy::L1 {
-                        self.stats.l1d_misses += 1;
-                    }
-                    r.latency
+        } else {
+            // Visit ready positions in window order. Issuing swap-removes
+            // the entry, moving the last one into its position, which is
+            // then examined next (as a full scan of the window would).
+            let mut pos = 0;
+            while issued < self.cfg.issue_width {
+                let Some(p) = first_set(&self.ready, pos) else {
+                    break;
+                };
+                if self.try_issue(self.iq[p] as usize, now, &mut ports, mem, acct) {
+                    self.iq_swap_remove(p);
+                    issued += 1;
+                    pos = p;
+                } else {
+                    pos = p + 1;
                 }
-            } as u64;
-
-            // Energy for select, operand reads and the operation itself.
-            acct.emit(model, Event::IqSelect);
-            acct.emit_n(model, Event::RegRead, u64::from(self.rob[idx].reads));
-            match class {
-                ExecClass::IntAlu | ExecClass::Nop => acct.emit(model, Event::ExecAlu),
-                ExecClass::IntMul => acct.emit(model, Event::ExecMul),
-                ExecClass::IntDiv => acct.emit(model, Event::ExecDiv),
-                ExecClass::FpAdd => acct.emit(model, Event::ExecFpAdd),
-                ExecClass::FpMul => acct.emit(model, Event::ExecFpMul),
-                ExecClass::FpDiv => acct.emit(model, Event::ExecFpDiv),
-                ExecClass::Branch => acct.emit(model, Event::ExecAlu),
-                ExecClass::Simd => acct.emit_n(
-                    model,
-                    Event::ExecSimdLane,
-                    u64::from(self.rob[idx].simd_lanes.max(1)),
-                ),
-                ExecClass::Load | ExecClass::Store => acct.emit(model, Event::AguCalc),
             }
-
-            let complete = now + latency;
-            if class == ExecClass::IntDiv {
-                self.div_busy_until = complete;
-            }
-            self.rob[idx].state = UopState::Issued;
-            self.completions[(complete as usize) % BUCKETS].push(idx as u32);
-            if self.cfg.in_order {
-                // Preserve age order for the strict in-order scan.
-                self.iq.remove(i);
-            } else {
-                // swap_remove breaks age order within the window; re-examine
-                // the swapped-in element at the same position next iteration.
-                self.iq.swap_remove(i);
-            }
-            issued += 1;
-            self.stats.issued_uops += 1;
         }
+        self.stats.issued_uops += u64::from(issued);
         if issued == 0 && !self.iq.is_empty() {
             self.stats.issue_blocked_cycles += 1;
         }
+        issued
+    }
+
+    fn set_ready_bit(&mut self, pos: usize, on: bool) {
+        let (w, b) = (pos / 64, 1u64 << (pos % 64));
+        if on {
+            self.ready[w] |= b;
+        } else {
+            self.ready[w] &= !b;
+        }
+    }
+
+    /// `Vec::swap_remove` on the window, mirrored in the readiness bitset
+    /// and the moved entry's `iq_pos`.
+    fn iq_swap_remove(&mut self, pos: usize) {
+        let last = self.iq.len() - 1;
+        let last_ready = self.ready[last / 64] >> (last % 64) & 1 == 1;
+        self.set_ready_bit(last, false);
+        self.iq.swap_remove(pos);
+        if pos < last {
+            self.set_ready_bit(pos, last_ready);
+            self.rob[self.iq[pos] as usize].iq_pos = pos as u32;
+        }
+    }
+
+    /// Start executing the ready uop at ROB index `idx` if its unit is
+    /// free this cycle: claim a port, probe the data cache for loads,
+    /// charge the select/read/execute events and schedule its completion.
+    /// Returns false (changing nothing) when the divider or port is busy.
+    fn try_issue(
+        &mut self,
+        idx: usize,
+        now: u64,
+        ports: &mut [u32; 5],
+        mem: &mut MemHierarchy,
+        acct: &mut EnergyAccount,
+    ) -> bool {
+        let class = self.rob[idx].class;
+        let port = match class {
+            ExecClass::IntAlu | ExecClass::IntMul | ExecClass::Nop => 0,
+            ExecClass::IntDiv => {
+                if now < self.div_busy_until {
+                    return false;
+                }
+                0
+            }
+            ExecClass::Load | ExecClass::Store => 1,
+            ExecClass::FpAdd | ExecClass::FpMul | ExecClass::FpDiv => 2,
+            ExecClass::Branch => 3,
+            ExecClass::Simd => 4,
+        };
+        if ports[port] == 0 {
+            return false;
+        }
+        ports[port] -= 1;
+
+        // Compute latency (loads probe the hierarchy now).
+        let latency = match class {
+            ExecClass::IntAlu | ExecClass::Branch | ExecClass::Nop | ExecClass::Store => 1,
+            ExecClass::IntMul => 3,
+            ExecClass::IntDiv => 16,
+            ExecClass::FpAdd => 3,
+            ExecClass::FpMul => 4,
+            ExecClass::FpDiv => 18,
+            ExecClass::Simd => 2,
+            ExecClass::Load => {
+                let r = mem.access_data(self.rob[idx].eff_addr);
+                emit_data_events(r.serviced_by, acct);
+                if r.serviced_by != ServicedBy::L1 {
+                    self.stats.l1d_misses += 1;
+                }
+                r.latency
+            }
+        } as u64;
+
+        // Events for select, operand reads and the operation itself.
+        acct.emit(Event::IqSelect);
+        acct.emit_n(Event::RegRead, u64::from(self.rob[idx].reads));
+        match class {
+            ExecClass::IntAlu | ExecClass::Nop | ExecClass::Branch => acct.emit(Event::ExecAlu),
+            ExecClass::IntMul => acct.emit(Event::ExecMul),
+            ExecClass::IntDiv => acct.emit(Event::ExecDiv),
+            ExecClass::FpAdd => acct.emit(Event::ExecFpAdd),
+            ExecClass::FpMul => acct.emit(Event::ExecFpMul),
+            ExecClass::FpDiv => acct.emit(Event::ExecFpDiv),
+            ExecClass::Simd => acct.emit_n(
+                Event::ExecSimdLane,
+                u64::from(self.rob[idx].simd_lanes.max(1)),
+            ),
+            ExecClass::Load | ExecClass::Store => acct.emit(Event::AguCalc),
+        }
+
+        let complete = now + latency;
+        if class == ExecClass::IntDiv {
+            self.div_busy_until = complete;
+        }
+        let bucket = (complete as usize) % BUCKETS;
+        let e = &mut self.rob[idx];
+        e.state = UopState::Issued;
+        e.next_done = std::mem::replace(&mut self.done_head[bucket], idx as u32);
+        self.done_mask[bucket / 64] |= 1 << (bucket % 64);
+        true
     }
 
     /// Can another uop be dispatched this cycle (structural hazards only;
@@ -546,11 +656,12 @@ impl OooCore {
         true
     }
 
-    /// Rename and insert one uop.
+    /// Rename and insert one uop: link it onto the wakeup list of every
+    /// producer that has not written back yet.
     ///
     /// # Panics
     /// Panics if [`OooCore::can_dispatch`] would return false.
-    pub fn dispatch(&mut self, d: &DispatchUop, model: &EnergyModel, acct: &mut EnergyAccount) {
+    pub fn dispatch(&mut self, d: &DispatchUop, acct: &mut EnergyAccount) {
         assert!(self.can_dispatch(d), "dispatch without capacity check");
         let idx = self.tail;
         let seq = self.next_seq;
@@ -565,18 +676,20 @@ impl OooCore {
         e.mispredict = d.mispredict;
         e.simd_lanes = d.simd_lanes;
 
-        let mut nr = 0u8;
         for (k, r) in d.reads.iter().enumerate() {
             if let Some(r) = r {
-                nr += 1;
+                e.reads += 1;
+                // A live mapping names an uncommitted producer (commit
+                // clears the mapping it still owns).
                 let p = self.rat[r.index()];
-                if p != NONE {
-                    e.dep_idx[k] = p;
-                    e.dep_seq[k] = self.rat_seq[r.index()];
+                if p != NONE && self.rob[p as usize].state != UopState::Done {
+                    let edge = idx as usize * READS + k;
+                    let producer = &mut self.rob[p as usize];
+                    self.wake_next[edge] = std::mem::replace(&mut producer.wake_head, edge as u32);
+                    e.pending += 1;
                 }
             }
         }
-        e.reads = nr;
         for (k, w) in d.writes.iter().enumerate() {
             if let Some(w) = w {
                 e.writes[k] = w.index() as u8;
@@ -588,30 +701,48 @@ impl OooCore {
         if matches!(d.class, ExecClass::Load | ExecClass::Store) {
             self.lsq_count += 1;
         }
+        let pos = self.iq.len();
+        e.iq_pos = pos as u32;
+        if e.pending == 0 && !self.cfg.in_order {
+            self.set_ready_bit(pos, true);
+        }
         self.rob[idx as usize] = e;
         self.iq.push(idx);
         self.tail = (self.tail + 1) % self.cfg.rob_size;
         self.count += 1;
 
-        acct.emit(model, Event::RenameUop);
-        acct.emit(model, Event::RobWrite);
-        acct.emit(model, Event::IqInsert);
+        acct.emit(Event::RenameUop);
+        acct.emit(Event::RobWrite);
+        acct.emit(Event::IqInsert);
     }
 }
 
-/// Emit the energy events for a data access serviced at `level`.
-pub fn emit_data_events(level: ServicedBy, model: &EnergyModel, acct: &mut EnergyAccount) {
-    acct.emit(model, Event::L1dAccess);
+/// The index of the first set bit at or after `from` in the bitset `bits`.
+fn first_set(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = *bits.get(w)? & (u64::MAX << (from % 64));
+    loop {
+        if word != 0 {
+            return Some(w * 64 + word.trailing_zeros() as usize);
+        }
+        w += 1;
+        word = *bits.get(w)?;
+    }
+}
+
+/// Count the events for a data access serviced at `level`.
+pub fn emit_data_events(level: ServicedBy, acct: &mut EnergyAccount) {
+    acct.emit(Event::L1dAccess);
     match level {
         ServicedBy::L1 => {}
         ServicedBy::L2 => {
-            acct.emit(model, Event::L1dMiss);
-            acct.emit(model, Event::L2Access);
+            acct.emit(Event::L1dMiss);
+            acct.emit(Event::L2Access);
         }
         ServicedBy::Memory => {
-            acct.emit(model, Event::L1dMiss);
-            acct.emit(model, Event::L2Access);
-            acct.emit(model, Event::MemAccess);
+            acct.emit(Event::L1dMiss);
+            acct.emit(Event::L2Access);
+            acct.emit(Event::MemAccess);
         }
     }
 }
@@ -619,13 +750,11 @@ pub fn emit_data_events(level: ServicedBy, model: &EnergyModel, acct: &mut Energ
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parrot_energy::EnergyConfig;
     use parrot_isa::{AluOp, Cond, Uop};
 
     struct Rig {
         core: OooCore,
         mem: MemHierarchy,
-        model: EnergyModel,
         acct: EnergyAccount,
         now: u64,
     }
@@ -635,21 +764,15 @@ mod tests {
             Rig {
                 core: OooCore::new(CoreConfig::narrow()),
                 mem: MemHierarchy::standard(),
-                model: EnergyModel::new(&EnergyConfig::narrow()),
                 acct: EnergyAccount::new(),
                 now: 0,
             }
         }
 
         fn cycle(&mut self) -> (u32, u32) {
-            self.core.writeback(self.now, &self.model, &mut self.acct);
-            let c = self
-                .core
-                .commit(self.now, &mut self.mem, &self.model, &mut self.acct);
-            self.core
-                .issue(self.now, &mut self.mem, &self.model, &mut self.acct);
+            let c = self.core.cycle(self.now, &mut self.mem, &mut self.acct);
             self.now += 1;
-            c
+            (c.committed_uops, c.committed_insts)
         }
 
         fn run_until_empty(&mut self, max: u64) -> (u64, u64) {
@@ -668,7 +791,7 @@ mod tests {
 
         fn dispatch(&mut self, d: DispatchUop) {
             assert!(self.core.can_dispatch(&d));
-            self.core.dispatch(&d, &self.model, &mut self.acct);
+            self.core.dispatch(&d, &mut self.acct);
         }
     }
 
@@ -730,11 +853,8 @@ mod tests {
         rig.dispatch(b);
         let mut resolved = None;
         for _ in 0..20 {
-            resolved = resolved.or(rig.core.writeback(rig.now, &rig.model, &mut rig.acct));
-            rig.core
-                .commit(rig.now, &mut rig.mem, &rig.model, &mut rig.acct);
-            rig.core
-                .issue(rig.now, &mut rig.mem, &rig.model, &mut rig.acct);
+            let c = rig.core.cycle(rig.now, &mut rig.mem, &mut rig.acct);
+            resolved = resolved.or(c.resolved);
             rig.now += 1;
         }
         assert!(resolved.is_some(), "mispredict resolution must surface");
@@ -746,7 +866,7 @@ mod tests {
         let d = alu(1, 0, 0, true);
         let mut n = 0;
         while rig.core.can_dispatch(&d) {
-            rig.core.dispatch(&d, &rig.model, &mut rig.acct);
+            rig.core.dispatch(&d, &mut rig.acct);
             n += 1;
             // Window fills first (iq_size=32) since nothing issues.
             assert!(n <= 128, "dispatch never blocked");
@@ -789,15 +909,11 @@ mod tests {
             let mut cycles = 0u64;
             let width = cfg.rename_width;
             while rig.core.stats().committed_uops < 2000 && cycles < 10_000 {
-                rig.core.writeback(rig.now, &rig.model, &mut rig.acct);
-                rig.core
-                    .commit(rig.now, &mut rig.mem, &rig.model, &mut rig.acct);
-                rig.core
-                    .issue(rig.now, &mut rig.mem, &rig.model, &mut rig.acct);
+                rig.core.cycle(rig.now, &mut rig.mem, &mut rig.acct);
                 for i in 0..width {
                     let d = alu(((dispatched + i) % 14) as u8 + 1, 0, 0, true);
                     if rig.core.can_dispatch(&d) {
-                        rig.core.dispatch(&d, &rig.model, &mut rig.acct);
+                        rig.core.dispatch(&d, &mut rig.acct);
                         dispatched += 1;
                     }
                 }
@@ -812,5 +928,161 @@ mod tests {
             (wide as f64) < narrow as f64 * 0.82,
             "wide {wide} should be well under narrow {narrow}"
         );
+    }
+
+    /// Feed `prog` through a core, dispatching up to rename width per cycle
+    /// after the core's cycle (as the machine does). With `skip`, a cycle in
+    /// which nothing happened jumps straight to the core's next event.
+    /// Returns the stats, the final cycle and the issue log: the ROB
+    /// sequence numbers issued, with their cycle.
+    fn drive(
+        cfg: CoreConfig,
+        prog: &[DispatchUop],
+        skip: bool,
+    ) -> (CoreStats, u64, Vec<(u64, u64)>) {
+        let mut core = OooCore::new(cfg);
+        let mut mem = MemHierarchy::standard();
+        let mut acct = EnergyAccount::new();
+        let mut issued_seen = std::collections::HashSet::new();
+        let mut log = Vec::new();
+        let (mut now, mut next) = (0u64, 0usize);
+        while (next < prog.len() || !core.is_empty()) && now < 100_000 {
+            let c = core.cycle(now, &mut mem, &mut acct);
+            let mut fresh: Vec<u64> = core
+                .rob
+                .iter()
+                .filter(|e| e.state == UopState::Issued && issued_seen.insert(e.seq))
+                .map(|e| e.seq)
+                .collect();
+            fresh.sort_unstable();
+            log.extend(fresh.into_iter().map(|seq| (now, seq)));
+            let mut dispatched = 0;
+            while next < prog.len()
+                && dispatched < cfg.rename_width
+                && core.can_dispatch(&prog[next])
+            {
+                core.dispatch(&prog[next], &mut acct);
+                next += 1;
+                dispatched += 1;
+            }
+            now += 1;
+            if skip && !c.active() && dispatched == 0 {
+                let to = core.next_event(now).unwrap_or(100_000);
+                assert!(to >= now, "next event {to} is in the past at {now}");
+                core.skip_idle(to - now);
+                now = to;
+            }
+        }
+        (*core.stats(), now, log)
+    }
+
+    fn assert_skip_matches_ticking(cfg: CoreConfig, prog: &[DispatchUop]) {
+        let ticked = drive(cfg, prog, false);
+        let skipped = drive(cfg, prog, true);
+        assert_eq!(
+            ticked.0.committed_uops,
+            prog.len() as u64,
+            "program must drain"
+        );
+        assert_eq!(skipped, ticked);
+    }
+
+    fn div(dst: u8, a: u8) -> DispatchUop {
+        let mut d = alu(dst, a, a, true);
+        d.class = ExecClass::IntDiv;
+        d
+    }
+
+    fn load_at(dst: u8, addr: u64) -> DispatchUop {
+        DispatchUop::from_uop(&Uop::load(Reg::int(dst), Reg::int(15)), addr, 1)
+    }
+
+    #[test]
+    fn skipping_a_busy_divider_matches_ticking() {
+        // Back-to-back divides hold the single divider; independent ALU
+        // work drains early, leaving cycles where only the divider's
+        // release can wake the window.
+        let mut prog = Vec::new();
+        for i in 0..6u8 {
+            prog.push(div(1 + i % 3, 10 + i % 3));
+            prog.push(alu(5, 6, 7, true));
+        }
+        prog.push(alu(8, 1, 2, true));
+        assert_skip_matches_ticking(CoreConfig::narrow(), &prog);
+    }
+
+    #[test]
+    fn skipping_an_in_order_core_matches_ticking() {
+        let cfg = CoreConfig::narrow().into_in_order();
+        let prog = vec![
+            load_at(1, 0x4000_0000),
+            alu(2, 1, 1, true),
+            alu(3, 13, 13, true),
+            div(4, 3),
+            div(5, 13),
+            load_at(6, 0x4100_0000),
+            alu(7, 6, 4, true),
+        ];
+        assert_skip_matches_ticking(cfg, &prog);
+    }
+
+    #[test]
+    fn a_uop_reading_one_producer_twice_wakes_once_it_completes() {
+        // r2 = r1 + r1 waits on both operands of the same missing load.
+        let prog = vec![
+            load_at(1, 0x5000_0000),
+            alu(2, 1, 1, true),
+            alu(3, 2, 2, true),
+        ];
+        assert_skip_matches_ticking(CoreConfig::narrow(), &prog);
+        let (_, _, log) = drive(CoreConfig::narrow(), &prog, true);
+        let load_issue = log[0].0;
+        let miss = u64::from(MemHierarchy::standard().access_data(0x5000_0000).latency);
+        assert_eq!(
+            log[1],
+            (load_issue + miss, 2),
+            "consumer issues the cycle its producer completes"
+        );
+        assert_eq!(log[2], (load_issue + miss + 1, 3));
+    }
+
+    #[test]
+    fn skipping_a_mixed_program_matches_ticking() {
+        // A pseudo-random mix of every class, with long misses and reads
+        // of recent producers, on both issue disciplines.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut prog = Vec::new();
+        for i in 0..600u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (dst, a, b) = (
+                (x % 12) as u8 + 1,
+                (x >> 8) as u8 % 12 + 1,
+                (x >> 16) as u8 % 12 + 1,
+            );
+            let mut d = match (x >> 24) % 10 {
+                0..=1 => load_at(dst, (x >> 32) % 64 * 0x1_0000 + i % 8 * 64),
+                2 => DispatchUop::from_uop(
+                    &Uop::store(Reg::int(a), Reg::int(b)),
+                    (x >> 32) % 4096 * 64,
+                    1,
+                ),
+                3 => div(dst, a),
+                _ => alu(dst, a, b, true),
+            };
+            if (x >> 40).is_multiple_of(7) {
+                d.class = [
+                    ExecClass::IntMul,
+                    ExecClass::FpAdd,
+                    ExecClass::FpDiv,
+                    ExecClass::Simd,
+                ][(x >> 44) as usize % 4];
+            }
+            prog.push(d);
+        }
+        assert_skip_matches_ticking(CoreConfig::narrow(), &prog);
+        assert_skip_matches_ticking(CoreConfig::wide(), &prog);
+        assert_skip_matches_ticking(CoreConfig::narrow().into_in_order(), &prog);
     }
 }

@@ -11,7 +11,7 @@ use crate::bpred::{BpredConfig, HybridPredictor};
 use crate::cache::{MemHierarchy, ServicedBy};
 use crate::core::{CoreConfig, DispatchUop};
 use crate::oracle::OracleStream;
-use parrot_energy::{EnergyAccount, EnergyModel, Event};
+use parrot_energy::{EnergyAccount, Event};
 use parrot_isa::InstKind;
 use parrot_telemetry::profile;
 use parrot_workloads::Workload;
@@ -105,31 +105,38 @@ impl ColdFrontEnd {
         self.stats.redirects += 1;
     }
 
+    /// The cycle at which a redirect, I-cache miss or BTB bubble stall
+    /// ends (in the past when fetch is not stalled on one).
+    pub fn resume_at(&self) -> u64 {
+        self.resume_at
+    }
+
     /// Fetch and decode one cycle's worth of instructions from the oracle,
-    /// appending dispatchable uops to `out`.
+    /// appending dispatchable uops to `out`. Returns whether the front end
+    /// did anything (accessed the I-cache); a `false` cycle changed nothing
+    /// and repeats until [`ColdFrontEnd::resume_at`] or a branch resolution.
     ///
     /// Stops early at: fetch/decode width, a complex-decode limit, a
     /// predicted-taken branch (one per cycle), an I-cache miss, a BTB miss
     /// bubble, or a misprediction (which stalls until resolved).
-    #[allow(clippy::too_many_arguments)]
     pub fn fetch_cycle(
         &mut self,
         now: u64,
         oracle: &mut OracleStream<'_>,
         wl: &Workload,
         mem: &mut MemHierarchy,
-        model: &EnergyModel,
         acct: &mut EnergyAccount,
         out: &mut VecDeque<DispatchUop>,
-    ) {
+    ) -> bool {
         let _stage = profile::stage(profile::Stage::Frontend);
         if now < self.resume_at || self.waiting_on_branch {
-            return;
+            return false;
         }
         // Keep the decoupling queue shallow.
         if out.len() >= 3 * self.cfg.decode_uops as usize {
-            return;
+            return false;
         }
+        let mut active = false;
         let mut insts = 0u32;
         let mut uops = 0u32;
         let mut complex = 0u32;
@@ -148,13 +155,14 @@ impl ColdFrontEnd {
             // I-cache: one access per distinct line touched.
             let line = d.pc / 64;
             if line != line_this_cycle {
-                acct.emit(model, Event::IcacheAccess);
+                active = true;
+                acct.emit(Event::IcacheAccess);
                 let r = mem.access_inst(d.pc);
                 if r.serviced_by != ServicedBy::L1 {
-                    acct.emit(model, Event::IcacheMiss);
+                    acct.emit(Event::IcacheMiss);
                     if r.serviced_by == ServicedBy::Memory {
-                        acct.emit(model, Event::L2Access);
-                        acct.emit(model, Event::MemAccess);
+                        acct.emit(Event::L2Access);
+                        acct.emit(Event::MemAccess);
                     }
                     self.stats.icache_misses += 1;
                     self.resume_at = now + u64::from(r.latency);
@@ -169,16 +177,16 @@ impl ColdFrontEnd {
             let mut btb_bubble = false;
             match inst.kind {
                 InstKind::CondBranch { .. } => {
-                    acct.emit(model, Event::BpredLookup);
+                    acct.emit(Event::BpredLookup);
                     let pred = self.bpred.predict(d.pc);
                     self.bpred.update(d.pc, d.taken);
-                    acct.emit(model, Event::BpredUpdate);
+                    acct.emit(Event::BpredUpdate);
                     self.stats.cond_branches += 1;
                     if pred != d.taken {
                         mispredict = true;
                         self.stats.cond_mispredicts += 1;
                     } else if d.taken {
-                        acct.emit(model, Event::BtbAccess);
+                        acct.emit(Event::BtbAccess);
                         if self.bpred.btb_lookup(d.pc) != Some(d.next_pc) {
                             btb_bubble = true;
                             self.bpred.btb_update(d.pc, d.next_pc);
@@ -186,15 +194,15 @@ impl ColdFrontEnd {
                     }
                 }
                 InstKind::Jump => {
-                    acct.emit(model, Event::BtbAccess);
+                    acct.emit(Event::BtbAccess);
                     if self.bpred.btb_lookup(d.pc) != Some(d.next_pc) {
                         btb_bubble = true;
                         self.bpred.btb_update(d.pc, d.next_pc);
                     }
                 }
                 InstKind::Call => {
-                    acct.emit(model, Event::BtbAccess);
-                    acct.emit(model, Event::RasAccess);
+                    acct.emit(Event::BtbAccess);
+                    acct.emit(Event::RasAccess);
                     self.bpred.ras_push(d.pc + u64::from(d.len));
                     if self.bpred.btb_lookup(d.pc) != Some(d.next_pc) {
                         btb_bubble = true;
@@ -202,7 +210,7 @@ impl ColdFrontEnd {
                     }
                 }
                 InstKind::Return => {
-                    acct.emit(model, Event::RasAccess);
+                    acct.emit(Event::RasAccess);
                     let pred = self.bpred.ras_pop();
                     if pred != Some(d.next_pc) {
                         mispredict = true;
@@ -210,7 +218,7 @@ impl ColdFrontEnd {
                     }
                 }
                 InstKind::IndirectJump { .. } => {
-                    acct.emit(model, Event::BtbAccess);
+                    acct.emit(Event::BtbAccess);
                     if self.bpred.btb_lookup(d.pc) != Some(d.next_pc) {
                         mispredict = true;
                         self.stats.target_mispredicts += 1;
@@ -222,10 +230,10 @@ impl ColdFrontEnd {
 
             // Decode and deliver.
             if n > 1 {
-                acct.emit(model, Event::DecodeComplex);
+                acct.emit(Event::DecodeComplex);
                 complex += 1;
             } else {
-                acct.emit(model, Event::DecodeSimple);
+                acct.emit(Event::DecodeSimple);
             }
             for (k, u) in decoded.iter().enumerate() {
                 let last = k + 1 == decoded.len();
@@ -247,7 +255,6 @@ impl ColdFrontEnd {
                 // as flush energy.
                 self.waiting_on_branch = true;
                 acct.emit_n(
-                    model,
                     Event::FlushUop,
                     u64::from(self.cfg.decode_uops) * u64::from(self.cfg.mispredict_penalty) / 2,
                 );
@@ -261,19 +268,18 @@ impl ColdFrontEnd {
                 break; // one taken branch per fetch cycle
             }
         }
+        active
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parrot_energy::EnergyConfig;
     use parrot_workloads::{app_by_name, AppProfile, Suite};
 
     struct Rig {
         wl: Workload,
         mem: MemHierarchy,
-        model: EnergyModel,
         acct: EnergyAccount,
         fe: ColdFrontEnd,
         out: VecDeque<DispatchUop>,
@@ -283,7 +289,6 @@ mod tests {
         Rig {
             wl: Workload::build(profile),
             mem: MemHierarchy::standard(),
-            model: EnergyModel::new(&EnergyConfig::narrow()),
             acct: EnergyAccount::new(),
             fe: ColdFrontEnd::new(CoreConfig::narrow(), BpredConfig::baseline_4k()),
             out: VecDeque::new(),
@@ -297,15 +302,7 @@ mod tests {
         let mut now = 0u64;
         let mut insts = 0u64;
         while !oracle.exhausted() && now < 100_000 {
-            r.fe.fetch_cycle(
-                now,
-                &mut oracle,
-                &r.wl,
-                &mut r.mem,
-                &r.model,
-                &mut r.acct,
-                &mut r.out,
-            );
+            r.fe.fetch_cycle(now, &mut oracle, &r.wl, &mut r.mem, &mut r.acct, &mut r.out);
             // Drain the queue, counting macro boundaries; unstick mispredicts
             // by pretending instant resolution.
             while let Some(d) = r.out.pop_front() {
@@ -328,15 +325,7 @@ mod tests {
         let mut stall_seen = false;
         let mut now = 0;
         while !oracle.exhausted() && now < 50_000 {
-            r.fe.fetch_cycle(
-                now,
-                &mut oracle,
-                &r.wl,
-                &mut r.mem,
-                &r.model,
-                &mut r.acct,
-                &mut r.out,
-            );
+            r.fe.fetch_cycle(now, &mut oracle, &r.wl, &mut r.mem, &mut r.acct, &mut r.out);
             if r.fe.waiting_on_branch() {
                 stall_seen = true;
                 let before = oracle.cursor();
@@ -345,7 +334,6 @@ mod tests {
                     &mut oracle,
                     &r.wl,
                     &mut r.mem,
-                    &r.model,
                     &mut r.acct,
                     &mut r.out,
                 );
@@ -357,7 +345,6 @@ mod tests {
                     &mut oracle,
                     &r.wl,
                     &mut r.mem,
-                    &r.model,
                     &mut r.acct,
                     &mut r.out,
                 );
@@ -379,15 +366,7 @@ mod tests {
             let mut oracle = OracleStream::new(r.wl.engine(), 60_000);
             let mut now = 0;
             while !oracle.exhausted() && now < 2_000_000 {
-                r.fe.fetch_cycle(
-                    now,
-                    &mut oracle,
-                    &r.wl,
-                    &mut r.mem,
-                    &r.model,
-                    &mut r.acct,
-                    &mut r.out,
-                );
+                r.fe.fetch_cycle(now, &mut oracle, &r.wl, &mut r.mem, &mut r.acct, &mut r.out);
                 if r.fe.waiting_on_branch() {
                     r.fe.branch_resolved(now);
                 }
@@ -419,15 +398,7 @@ mod tests {
         let mut oracle = OracleStream::new(r.wl.engine(), 10_000);
         for now in 0..2_000u64 {
             let before = oracle.cursor();
-            r.fe.fetch_cycle(
-                now,
-                &mut oracle,
-                &r.wl,
-                &mut r.mem,
-                &r.model,
-                &mut r.acct,
-                &mut r.out,
-            );
+            r.fe.fetch_cycle(now, &mut oracle, &r.wl, &mut r.mem, &mut r.acct, &mut r.out);
             let fetched = oracle.cursor() - before;
             assert!(fetched <= u64::from(CoreConfig::narrow().fetch_width));
             if r.fe.waiting_on_branch() {
