@@ -12,14 +12,11 @@
 //! $ parrot analyze gcc --json             # one app's full analysis report
 //! $ parrot lint-traces --all              # uop-IR lint + validation gate
 //! $ parrot soak --rates 0.01,0.1          # seeded fault-injection campaign
-//! $ parrot bench                          # record BENCH_cips.json baseline
-//! $ parrot bench --check                  # CI perf gate vs the baseline
 //! $ parrot capture gcc                    # write corpus/gcc.ptrace
 //! $ parrot capture --all --insts 500000   # capture the full corpus
 //! $ parrot replay gcc --verify            # replay a capture, diff vs live
 //! $ parrot sample gcc --insts 30000000    # sampled-vs-full fidelity, one app
 //! $ parrot sample --all --tol 0.03        # full table + tolerance gate
-//! $ parrot serve --addr 127.0.0.1:8040    # the HTTP simulation service
 //! $ parrot help replay                    # one command's full flag schema
 //! ```
 //!
@@ -31,14 +28,14 @@
 //! somewhere. Every subcommand also accepts the shared telemetry flags
 //! (`--trace-out`, `--metrics-out`, `--profile`, `--jobs`, `-v`/`-q`).
 //!
-//! JSON outputs that have a served twin (`run --json`, `sweep --json`,
-//! `replay --json`) are printed with `print!` — the pretty serializer
-//! carries its own trailing newline — so stdout is byte-identical to
-//! the corresponding `/v1/results/:fingerprint` body.
+//! JSON documents (`run --json`, `sweep --json`, `replay --json`) are
+//! printed with `print!` — the pretty serializer carries its own trailing
+//! newline — so stdout is exactly the document's bytes.
 
 use parrot_bench::cli;
 use parrot_core::{FaultPlan, Model, SimReport, SimRequest};
 use parrot_energy::metrics::cmpw_relative;
+use parrot_telemetry::json::Value;
 use parrot_workloads::{all_apps, app_by_name, AppProfile, Workload};
 
 fn main() {
@@ -67,11 +64,9 @@ fn main() {
         "analyze" => analyze(&p),
         "lint-traces" => lint_traces(&p),
         "soak" => soak(&p),
-        "bench" => bench(&p),
         "capture" => capture(&p),
         "replay" => replay(&p),
         "sample" => sample(&p),
-        "serve" => serve(&p),
         "help" => help(&p),
         other => unreachable!("command {other} is in the table but not dispatched"),
     };
@@ -201,7 +196,7 @@ fn print_human(r: &SimReport) {
 }
 
 /// The optional fault plan from the shared `--fault-seed`/`--fault-rate`
-/// pair (same defaults the serve backend applies).
+/// pair.
 fn fault_plan(p: &cli::Parsed) -> Option<FaultPlan> {
     let seed = flag(p.u64_value("--fault-seed"));
     let rate = flag(p.f64_value("--fault-rate"));
@@ -237,41 +232,6 @@ fn run(p: &cli::Parsed) -> i32 {
         }
     }
     0
-}
-
-/// Run the admission-controlled HTTP simulation service (DESIGN.md §19)
-/// over the real backend until killed.
-fn serve(p: &cli::Parsed) -> i32 {
-    use parrot_serve::{serve, ServerConfig};
-
-    let mut cfg = ServerConfig::default();
-    if let Some(addr) = p.value("--addr") {
-        cfg.addr = addr.to_string();
-    }
-    // The sweep pool already parallelizes inside one job; a couple of
-    // service workers is about concurrency between jobs, not speed.
-    cfg.workers = parrot_bench::jobs().clamp(1, 4);
-    if let Some(n) = flag(p.usize_value("--queue-cap")) {
-        cfg.admission.queue_cap = n;
-    }
-    if let Some(n) = flag(p.usize_value("--shed-mark")) {
-        cfg.admission.shed_mark = n;
-    }
-    if let Some(n) = flag(p.usize_value("--cache-cap")) {
-        cfg.cache_cap = n;
-    }
-    let handle = match serve(cfg, parrot_bench::serve_backend::Backend::new()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("serve: cannot bind: {e}");
-            return 1;
-        }
-    };
-    println!("parrot serve: listening on http://{}", handle.addr());
-    println!("  POST /v1/jobs | GET /v1/jobs/:id | GET /v1/results/:fp | GET /v1/healthz | GET /v1/metrics");
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
-    }
 }
 
 /// Run a seeded fault-injection soak campaign across every registered
@@ -318,70 +278,6 @@ fn soak(p: &cli::Parsed) -> i32 {
         0
     } else {
         eprintln!("soak FAILED: store-log divergence or unreconciled fault accounting");
-        1
-    }
-}
-
-/// Measure committed-instructions-per-second for every model with and
-/// without telemetry sinks. Default: rewrite the `BENCH_cips.json`
-/// baseline at the repository root (or `--out FILE`). With `--check`:
-/// leave the baseline untouched, write the fresh numbers to `--out FILE`
-/// if given, and exit nonzero when any model regressed more than the
-/// tolerance (default 10%) below the baseline — the CI perf gate.
-fn bench(p: &cli::Parsed) -> i32 {
-    use parrot_bench::cips;
-    let insts = flag(p.u64_value("--insts")).unwrap_or(cips::DEFAULT_BENCH_INSTS);
-    let tolerance = flag(p.f64_value("--tolerance")).unwrap_or(cips::REGRESSION_TOLERANCE);
-    let out = p.value("--out").map(std::path::PathBuf::from);
-    let fresh = cips::measure(insts);
-    println!("{}", fresh.markdown());
-    if !p.switch("--check") {
-        let path = out.unwrap_or_else(cips::baseline_path);
-        if let Err(e) = std::fs::write(&path, fresh.to_json().to_json_pretty()) {
-            eprintln!("bench: cannot write {}: {e}", path.display());
-            return 1;
-        }
-        parrot_telemetry::status!("bench: recorded baseline at {}", path.display());
-        return 0;
-    }
-    if let Some(path) = &out {
-        let _ = std::fs::write(path, fresh.to_json().to_json_pretty());
-        parrot_telemetry::status!("bench: fresh measurement written to {}", path.display());
-    }
-    let base_path = cips::baseline_path();
-    let baseline = std::fs::read_to_string(&base_path)
-        .ok()
-        .and_then(|t| parrot_telemetry::json::parse(&t).ok())
-        .as_ref()
-        .and_then(cips::BenchReport::from_json);
-    let Some(baseline) = baseline else {
-        eprintln!(
-            "bench: no readable baseline at {} (run `parrot bench` and commit it)",
-            base_path.display()
-        );
-        return 1;
-    };
-    if baseline.insts_per_run != fresh.insts_per_run {
-        eprintln!(
-            "bench: warning: baseline measured at {} insts/run, fresh at {} — \
-             comparing rates anyway",
-            baseline.insts_per_run, fresh.insts_per_run
-        );
-    }
-    let regs = cips::regressions(&baseline, &fresh, tolerance);
-    if regs.is_empty() {
-        println!(
-            "bench: PASS — no model regressed more than {:.0}% vs {}",
-            tolerance * 100.0,
-            base_path.display()
-        );
-        0
-    } else {
-        eprintln!("bench: FAIL — CIPS regressions vs {}:", base_path.display());
-        for r in &regs {
-            eprintln!("  {r}");
-        }
-        eprintln!("(intentional? re-record with `parrot bench` and commit BENCH_cips.json)");
         1
     }
 }
@@ -845,10 +741,7 @@ fn sweep(p: &cli::Parsed) -> i32 {
     let profile = parse_profile(app);
     let insts = insts_or_default(p);
     if p.switch("--json") {
-        // The same function the serve backend runs for a one-app sweep
-        // job: stdout here is byte-identical to that job's result body.
-        let doc = parrot_bench::serve_backend::sweep_app_doc(&profile, insts, None);
-        print!("{}", doc.to_json_pretty());
+        print!("{}", sweep_app_doc(&profile, insts).to_json_pretty());
         return 0;
     }
     let wl = Workload::build(&profile);
@@ -873,4 +766,40 @@ fn sweep(p: &cli::Parsed) -> i32 {
         );
     }
     0
+}
+
+/// The `parrot sweep APP --json` document: every machine model run over
+/// one application at one budget, reports in [`Model::ALL`] order.
+fn sweep_app_doc(profile: &AppProfile, insts: u64) -> Value {
+    let wl = Workload::build(profile);
+    let runs = Model::ALL
+        .iter()
+        .map(|&m| SimRequest::model(m).insts(insts).run(&wl).to_json())
+        .collect();
+    Value::obj([
+        ("app", Value::Str(profile.name.to_string())),
+        ("insts", Value::int(insts)),
+        ("runs", Value::Arr(runs)),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_doc_holds_every_model_report_in_order() {
+        let profile = app_by_name("gcc").expect("registered");
+        let insts = 5_000;
+        let doc = sweep_app_doc(&profile, insts);
+        assert_eq!(doc.get("app").as_str(), Some("gcc"));
+        assert_eq!(doc.get("insts").as_u64(), Some(insts));
+        let runs = doc.get("runs").as_arr().expect("runs is an array");
+        assert_eq!(runs.len(), Model::ALL.len());
+        let wl = Workload::build(&profile);
+        for (run, m) in runs.iter().zip(Model::ALL) {
+            let direct = SimRequest::model(m).insts(insts).run(&wl).to_json();
+            assert_eq!(run.to_json(), direct.to_json(), "{} report", m.name());
+        }
+    }
 }

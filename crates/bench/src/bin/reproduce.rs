@@ -87,24 +87,6 @@ fn main() {
     }
     writeln!(md).unwrap();
 
-    writeln!(md, "## Serving — overload shedding (`parrot serve`)\n").unwrap();
-    writeln!(
-        md,
-        "The HTTP service (DESIGN.md §19) degrades before it rejects: past\n\
-         the shed mark, `sim`/`sweep` jobs are admitted in SimPoint-sampled\n\
-         mode (§18) and marked `\"shed\": true`; past the queue cap or a\n\
-         per-kind budget they get 429 with `Retry-After`. Shed results are\n\
-         fingerprint-salted so sampled output never poisons the\n\
-         full-fidelity cache, and the `/v1/metrics` ledger reconciles\n\
-         exactly (`serve:admitted == completed + shed + rejected + failed`).\n\
-         The overload e2e test (`crates/bench/tests/serve_e2e.rs`) and the\n\
-         CI `serve` job drive a loaded server past both thresholds and\n\
-         assert the equation on the live counters; full-fidelity results\n\
-         remain byte-identical to the equivalent CLI invocation throughout."
-    )
-    .unwrap();
-    writeln!(md).unwrap();
-
     writeln!(
         md,
         "## Fault injection — graceful degradation vs fault rate\n"

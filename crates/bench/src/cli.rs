@@ -309,25 +309,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         ],
     },
     CommandSpec {
-        name: "bench",
-        positional: "",
-        summary: "CIPS baseline / CI perf gate",
-        flags: &[
-            FLAG_INSTS,
-            FlagSpec {
-                name: "--check",
-                value: None,
-                help: "gate against the committed baseline instead of rewriting it",
-            },
-            FlagSpec {
-                name: "--tolerance",
-                value: Some("T"),
-                help: "allowed fractional regression (default 0.10)",
-            },
-            FLAG_OUT,
-        ],
-    },
-    CommandSpec {
         name: "capture",
         positional: "<APP>",
         summary: "write .ptrace captures",
@@ -401,33 +382,6 @@ pub const COMMANDS: &[CommandSpec] = &[
         ],
     },
     CommandSpec {
-        name: "serve",
-        positional: "",
-        summary: "admission-controlled HTTP simulation service",
-        flags: &[
-            FlagSpec {
-                name: "--addr",
-                value: Some("HOST:PORT"),
-                help: "bind address (default 127.0.0.1:8040)",
-            },
-            FlagSpec {
-                name: "--queue-cap",
-                value: Some("N"),
-                help: "max jobs queued or running (default 64)",
-            },
-            FlagSpec {
-                name: "--shed-mark",
-                value: Some("N"),
-                help: "load at which sim/sweep jobs shed to sampled mode (default 16)",
-            },
-            FlagSpec {
-                name: "--cache-cap",
-                value: Some("N"),
-                help: "result-cache capacity in documents (default 64)",
-            },
-        ],
-    },
-    CommandSpec {
         name: "help",
         positional: "[<COMMAND>]",
         summary: "this message, or one command's full schema",
@@ -468,11 +422,6 @@ impl Parsed {
 
     /// An `f64` flag value. `Err` if given but unparseable.
     pub fn f64_value(&self, name: &str) -> Result<Option<f64>, String> {
-        self.typed(name)
-    }
-
-    /// A `usize` flag value. `Err` if given but unparseable.
-    pub fn usize_value(&self, name: &str) -> Result<Option<usize>, String> {
         self.typed(name)
     }
 
@@ -597,7 +546,7 @@ mod tests {
             .collect();
         let (t, rest) = Telemetry::from_args(args);
         assert_eq!(rest, ["run"]);
-        assert_eq!(crate::jobs(), 3);
+        assert_eq!(crate::SweepConfig::from_env().jobs_value(), 3);
         crate::set_jobs(0);
         t.finish();
     }
@@ -670,7 +619,7 @@ mod tests {
             }
         }
         // The shared flags are documented exactly once per help page.
-        assert!(help_text(command("serve").unwrap()).contains("--jobs N"));
+        assert!(help_text(command("sample").unwrap()).contains("--jobs N"));
     }
 
     #[test]

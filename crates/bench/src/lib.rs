@@ -21,7 +21,7 @@
 #![warn(missing_docs)]
 
 use parrot_core::{
-    build_plan, FaultKind, FaultPlan, Model, SampleWarmth, SamplingSpec, SimReport, SimRequest,
+    build_plan, FaultPlan, Model, SampleWarmth, SamplingSpec, SimReport, SimRequest,
 };
 use parrot_energy::metrics::{cmpw_relative, geo_mean};
 use parrot_telemetry::json::Value;
@@ -33,11 +33,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-pub mod cips;
 pub mod cli;
 pub mod microbench;
 pub mod sample;
-pub mod serve_backend;
 pub mod soak;
 pub mod xval;
 
@@ -63,13 +61,6 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 /// default.
 pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::Relaxed);
-}
-
-/// Sweep worker threads in effect ([`SweepConfig::from_env`]): `--jobs N`
-/// if given, else `PARROT_JOBS`, else
-/// [`std::thread::available_parallelism`] (capped at 16).
-pub fn jobs() -> usize {
-    SweepConfig::from_env().jobs_value()
 }
 
 /// Everything one sweep depends on: instruction budget, worker count,
@@ -246,52 +237,6 @@ impl SweepConfig {
     /// The armed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
-    }
-
-    /// The canonical serialized form of this configuration: a
-    /// deterministic, versioned JSON value carrying exactly the knobs that
-    /// determine the sweep's report bytes. The CLI and `parrot serve`
-    /// share this form — a sweep job submitted over HTTP and the same
-    /// sweep run from the command line canonicalize identically, which is
-    /// what lets the serve result cache treat them as the same work.
-    ///
-    /// Worker count, cache/replay directories, and prebuilt handles are
-    /// deliberately absent: they change scheduling or where bytes come
-    /// from, never what the reports say. Seeds are hex strings because
-    /// they use all 64 bits and a JSON number only carries 53.
-    pub fn canonical(&self) -> Value {
-        let mut fields = vec![
-            ("v", Value::int(parrot_core::CANONICAL_VERSION)),
-            ("insts", Value::int(self.insts)),
-            ("loop_aware", Value::Bool(self.loop_aware)),
-        ];
-        if let Some(plan) = &self.faults {
-            let kinds = FaultKind::ALL
-                .iter()
-                .filter(|k| plan.enabled(**k))
-                .map(|k| Value::Str(k.name().to_string()))
-                .collect();
-            fields.push((
-                "faults",
-                Value::obj([
-                    ("seed", Value::Str(format!("{:#x}", plan.seed()))),
-                    ("rate", Value::Num(plan.rate_value())),
-                    ("kinds", Value::Arr(kinds)),
-                ]),
-            ));
-        }
-        if let Some(spec) = &self.sampling {
-            fields.push((
-                "sampling",
-                Value::obj([
-                    ("interval", Value::int(spec.interval)),
-                    ("warmup", Value::int(spec.warmup)),
-                    ("max_k", Value::int(spec.max_k as u64)),
-                    ("seed", Value::Str(format!("{:#x}", spec.seed))),
-                ]),
-            ));
-        }
-        Value::obj(fields)
     }
 
     /// The cache fingerprint of this configuration. Equal to

@@ -89,8 +89,7 @@ pub fn bench_with_setup<S, T>(
 
 /// Time `f` exactly like [`bench()`] — auto-calibrated iteration count,
 /// best of a few rounds — but return the best per-iteration time instead
-/// of printing a line. `parrot bench` builds its committed-instructions-per-
-/// second figures on this.
+/// of printing a line.
 pub fn measure<T>(mut f: impl FnMut() -> T) -> Duration {
     let mut iters: u64 = 1;
     loop {

@@ -3,9 +3,7 @@
 //! [`SimRequest`] replaces the old `simulate`/`simulate_config` free
 //! functions (removed in 0.2.0): one builder carries the machine
 //! description, the instruction budget, and an optional [`FaultPlan`],
-//! and [`SimRequest::run`] produces the [`SimReport`]. The request also
-//! has a [canonical serialized form](SimRequest::canonical) shared
-//! byte-for-byte by the CLI and `parrot serve`.
+//! and [`SimRequest::run`] produces the [`SimReport`].
 //!
 //! ```no_run
 //! use parrot_core::{Model, SimRequest};
@@ -16,25 +14,18 @@
 //! println!("{} IPC {:.3}", report.model, report.ipc());
 //! ```
 
-use crate::faults::{FaultKind, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::machine::Machine;
 use crate::models::{MachineConfig, Model};
 use crate::report::SimReport;
 use crate::warmth::SampleWarmth;
 use parrot_sampling::{SamplePlan, SamplingSpec};
-use parrot_telemetry::json::Value;
 use parrot_workloads::tracefmt::{TraceError, TraceFile};
 use parrot_workloads::Workload;
 use std::sync::Arc;
 
 /// Default committed-instruction budget (matches the sweep default).
 pub const DEFAULT_INSTS: u64 = 200_000;
-
-/// Version of the [`SimRequest::canonical`] serialized form. Bump whenever
-/// a knob is added, removed, or re-encoded — equal canonical bytes promise
-/// byte-identical reports, so the version must change when that mapping
-/// does.
-pub const CANONICAL_VERSION: u64 = 1;
 
 /// A complete description of one simulation: machine, budget, faults.
 ///
@@ -198,56 +189,6 @@ impl SimRequest {
         &self.cfg
     }
 
-    /// The canonical serialized form of this request: a deterministic,
-    /// versioned JSON value carrying exactly the knobs that determine the
-    /// report's bytes. The CLI and `parrot serve` share this form, and the
-    /// serve result cache keys on a fingerprint of `canonical().to_json()`,
-    /// so equal canonical bytes must mean byte-identical reports.
-    ///
-    /// An armed replay capture and prebuilt plan/warmth handles are
-    /// deliberately absent: they change where the committed stream or the
-    /// clustering work comes from, never what the report says. Seeds are
-    /// encoded as hex strings because they use all 64 bits and a JSON
-    /// number (an `f64`) only carries 53.
-    pub fn canonical(&self) -> Value {
-        let mut fields = vec![
-            ("v", Value::int(CANONICAL_VERSION)),
-            ("config", Value::Str(self.cfg.name.clone())),
-            (
-                "config_digest",
-                Value::Str(format!("{:016x}", config_digest(&self.cfg))),
-            ),
-            ("insts", Value::int(self.insts)),
-        ];
-        if let Some(plan) = &self.faults {
-            let kinds = FaultKind::ALL
-                .iter()
-                .filter(|k| plan.enabled(**k))
-                .map(|k| Value::Str(k.name().to_string()))
-                .collect();
-            fields.push((
-                "faults",
-                Value::obj([
-                    ("seed", Value::Str(format!("{:#x}", plan.seed()))),
-                    ("rate", Value::Num(plan.rate_value())),
-                    ("kinds", Value::Arr(kinds)),
-                ]),
-            ));
-        }
-        if let Some(spec) = &self.sampling {
-            fields.push((
-                "sampling",
-                Value::obj([
-                    ("interval", Value::int(spec.interval)),
-                    ("warmup", Value::int(spec.warmup)),
-                    ("max_k", Value::int(spec.max_k as u64)),
-                    ("seed", Value::Str(format!("{:#x}", spec.seed))),
-                ]),
-            ));
-        }
-        Value::obj(fields)
-    }
-
     /// Run the simulation to completion.
     ///
     /// # Panics
@@ -268,20 +209,6 @@ impl SimRequest {
         Machine::from_config_source(self.cfg.clone(), wl, self.insts, inj, self.replay.clone())
             .run()
     }
-}
-
-/// FNV-1a over the config's `Debug` rendering: a cheap structural digest
-/// that tells two same-named ablation configs apart in the canonical form.
-/// `Debug` output is deterministic for these plain-data structs, and the
-/// digest only ever needs to distinguish configs within one binary version
-/// (the canonical `v` field gates anything longer-lived).
-fn config_digest(cfg: &MachineConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{cfg:?}").bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -121,36 +121,6 @@ fn budget_zero_is_a_clean_noop() {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical form: the serialized request is deterministic, versioned, and
-// distinguishes every knob that changes simulation output — it is the wire
-// schema's `config fingerprint` input, so two requests with equal canonical
-// bytes must produce byte-identical reports.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn canonical_form_is_deterministic_and_distinguishes_knobs() {
-    let base = SimRequest::model(Model::TOW).insts(30_000);
-    let a = base.clone().canonical().to_json();
-    let b = base.clone().canonical().to_json();
-    assert_eq!(a, b, "canonicalization is a pure function of the request");
-
-    let budget = base.clone().insts(40_000).canonical().to_json();
-    assert_ne!(a, budget, "budget must be visible in the canonical form");
-
-    let faulted = base
-        .clone()
-        .faults(FaultPlan::new(9).rate(0.01))
-        .canonical()
-        .to_json();
-    assert_ne!(a, faulted, "fault plan must be visible in the canonical form");
-
-    let mut cfg = Model::TOW.config();
-    cfg.name = "ablation".to_string();
-    let renamed = SimRequest::config(cfg).insts(30_000).canonical().to_json();
-    assert_ne!(a, renamed, "config name must be visible in the canonical form");
-}
-
-// ---------------------------------------------------------------------------
 // Fault injection & graceful degradation: the machine must degrade, never
 // die. Every injection is caught or provably benign, and the committed
 // store log must match the fault-free baseline exactly.

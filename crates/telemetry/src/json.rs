@@ -6,13 +6,15 @@
 //! are written without a decimal point; that covers every counter the
 //! simulator produces.
 //!
-//! The parser is also the `parrot serve` wire codec, so it must be safe on
-//! *untrusted* input: every malformed document — truncated, deeply nested,
-//! non-finite numbers, invalid escapes — yields a structured [`ParseError`]
-//! with a byte offset, never a panic or unbounded recursion. Nesting is
-//! capped at [`MAX_DEPTH`]; duplicate object keys keep the last value
-//! (deterministic, RFC 8259-permitted); numbers that overflow `f64` to
-//! infinity are rejected rather than silently becoming `null` on re-write.
+//! The parser reads files from disk (sweep caches, `results/*.json`,
+//! benchmark references) that may be truncated, hand-edited or stale, so
+//! it must be safe on *untrusted* input: every malformed document —
+//! truncated, deeply nested, non-finite numbers, invalid escapes — yields
+//! a structured [`ParseError`] with a byte offset, never a panic or
+//! unbounded recursion. Nesting is capped at [`MAX_DEPTH`]; duplicate
+//! object keys keep the last value (deterministic, RFC 8259-permitted);
+//! numbers that overflow `f64` to infinity are rejected rather than
+//! silently becoming `null` on re-write.
 //!
 //! ```
 //! use parrot_telemetry::json::{parse, Value};

@@ -88,10 +88,10 @@ pub const MERGED_RUN_LABEL: &str = "sweep:total";
 /// A shared progress feed for long-running sweeps, drained from the
 /// sharded telemetry merge: every time a completed work item's shard is
 /// absorbed into the base sinks (strictly in item order — see the module
-/// docs), the counter ticks. `parrot serve` installs one per job with
-/// [`install_progress`] before handing the job to the sweep runner, then
-/// reads `done/total` from other threads to answer job-status queries
-/// while the sweep is still running.
+/// docs), the counter ticks. A caller installs one with
+/// [`install_progress`] before starting the sweep, then reads
+/// `done/total` from other threads to follow the sweep while it runs
+/// (e.g. to time each work item as it drains).
 #[derive(Debug, Default)]
 pub struct Progress {
     done: AtomicU64,
@@ -121,12 +121,6 @@ impl Progress {
     pub fn tick(&self) {
         self.done.fetch_add(1, Ordering::AcqRel);
     }
-
-    /// Reset the expected total (a runner that discovers its work list
-    /// late may correct the estimate).
-    pub fn set_total(&self, total: u64) {
-        self.total.store(total, Ordering::Release);
-    }
 }
 
 thread_local! {
@@ -144,18 +138,6 @@ pub fn install_progress(p: Arc<Progress>) {
 /// Remove and return the current thread's progress handle, if any.
 pub fn take_progress() -> Option<Arc<Progress>> {
     PROGRESS.with(|slot| slot.borrow_mut().take())
-}
-
-/// Tick the current thread's installed progress handle, if any. Lets a
-/// serial loop report per-step progress through the same channel the
-/// sweep runner uses, without the caller having to thread the handle —
-/// and compiles to a no-op when nothing is installed (the CLI path).
-pub fn tick_installed_progress() {
-    PROGRESS.with(|slot| {
-        if let Some(p) = slot.borrow().as_ref() {
-            p.tick();
-        }
-    });
 }
 
 fn current_progress() -> Option<Arc<Progress>> {
@@ -442,8 +424,8 @@ mod tests {
 
     #[test]
     fn progress_ticks_in_item_order_without_other_sinks() {
-        // A progress handle alone is enough to get a session: serve jobs
-        // want incremental status even when no trace/metrics sink is on.
+        // A progress handle alone is enough to get a session: a caller can
+        // follow a sweep's progress with no trace/metrics sink installed.
         let p = Progress::new(3);
         install_progress(Arc::clone(&p));
         let session = SweepSession::begin().expect("progress handle installed");

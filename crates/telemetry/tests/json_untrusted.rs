@@ -1,12 +1,13 @@
 //! `telemetry::json` as an *untrusted-input* codec.
 //!
-//! The hand-rolled parser is the wire codec of `parrot serve`, so a
-//! hostile HTTP body must never panic, recurse without bound, or produce
-//! a value that corrupts re-serialized output. Every rejection is a
-//! structured [`ParseError`] with a byte offset. This suite covers the
-//! attack-shaped corners — deep nesting, duplicate keys, truncation at
-//! every byte, huge numbers, invalid UTF-16 escapes — plus a seeded
-//! mutation fuzz pass over valid documents.
+//! The hand-rolled parser reads documents from disk (sweep caches,
+//! `results/*.json`, benchmark references) that may be truncated,
+//! corrupted or hand-edited, so a malformed file must never panic, recurse
+//! without bound, or produce a value that corrupts re-serialized output.
+//! Every rejection is a structured [`ParseError`] with a byte offset.
+//! This suite covers the attack-shaped corners — deep nesting, duplicate
+//! keys, truncation at every byte, huge numbers, invalid UTF-16 escapes —
+//! plus a seeded mutation fuzz pass over valid documents.
 
 use parrot_telemetry::json::{parse, ParseError, Value, MAX_DEPTH};
 use parrot_telemetry::rng::Xorshift64Star;
@@ -140,11 +141,11 @@ fn control_characters_and_garbage_bodies_error_cleanly() {
     }
 }
 
-/// Seeded mutation fuzz: take a representative wire document, flip bytes,
+/// Seeded mutation fuzz: take a representative document, flip bytes,
 /// truncate, and splice; the parser must always return (Ok or structured
 /// Err) without panicking, and anything it accepts must re-serialize and
-/// re-parse to the same value (idempotent canonicalization — what the
-/// serve result cache relies on).
+/// re-parse to the same value (idempotent canonicalization — what a
+/// read-merge-write of a results file relies on).
 #[test]
 fn mutation_fuzz_never_panics_and_accepted_docs_roundtrip() {
     let seed_doc = r#"{"v":1,"kind":"sweep","insts":200000,"apps":["gcc","swim"],"rates":[0.01,0.25],"nested":{"a":[1,-2.5,3e2],"b":"x\ty"},"flag":true,"none":null}"#;
@@ -183,8 +184,8 @@ fn mutation_fuzz_never_panics_and_accepted_docs_roundtrip() {
                 }
             }
         }
-        // Non-UTF-8 mutants never reach the parser in production (the
-        // HTTP layer rejects them first); skip those here.
+        // Non-UTF-8 mutants never reach the parser in production
+        // (`read_to_string` rejects them first); skip those here.
         let Ok(text) = std::str::from_utf8(&bytes) else {
             continue;
         };
@@ -199,9 +200,9 @@ fn mutation_fuzz_never_panics_and_accepted_docs_roundtrip() {
     assert!(accepted > 0, "some mutants should still be valid JSON");
 }
 
-/// The writer side of the codec: values built programmatically (as the
-/// server does for responses) always serialize to parseable JSON, even
-/// for hostile strings.
+/// The writer side of the codec: values built programmatically (as every
+/// report writer does) always serialize to parseable JSON, even for
+/// hostile strings.
 #[test]
 fn writer_output_is_always_reparseable() {
     let nasty = [

@@ -13,8 +13,8 @@ use crate::Workload;
 /// [`ReplayCursor`] over a `.ptrace` capture (skips all generator cost).
 ///
 /// An enum rather than a trait object: the oracle pulls one instruction per
-/// simulated commit, and a static match keeps that pull inlinable (the CI
-/// CIPS gate would notice a virtual call here).
+/// simulated commit, and a static match keeps that pull inlinable (the
+/// benchmark's `cips` would notice a virtual call here).
 ///
 /// ```
 /// use parrot_workloads::tracefmt::capture;
