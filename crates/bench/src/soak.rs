@@ -173,10 +173,7 @@ impl SoakReport {
     /// rounded).
     pub fn to_json(&self) -> Value {
         Value::obj([
-            (
-                "schema_version",
-                Value::int(crate::RESULTS_SCHEMA_VERSION),
-            ),
+            ("schema_version", Value::int(crate::RESULTS_SCHEMA_VERSION)),
             ("model", Value::Str(self.model.clone())),
             ("seed", Value::Str(format!("{:016x}", self.seed))),
             ("insts", Value::int(self.insts)),

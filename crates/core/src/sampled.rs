@@ -313,8 +313,10 @@ fn reconstruct(plan: &SamplePlan, deltas: &[SimReport]) -> SimReport {
                         .iter()
                         .zip(&scales)
                         .map(|(d, s)| {
-                            f(d.trace.as_ref().and_then(|t| t.opt.as_ref()).expect("all or none"))
-                                as f64
+                            f(d.trace
+                                .as_ref()
+                                .and_then(|t| t.opt.as_ref())
+                                .expect("all or none")) as f64
                                 * s
                         })
                         .sum::<f64>()
@@ -325,7 +327,10 @@ fn reconstruct(plan: &SamplePlan, deltas: &[SimReport]) -> SimReport {
                         .iter()
                         .zip(&fracs)
                         .map(|(d, w)| {
-                            f(d.trace.as_ref().and_then(|t| t.opt.as_ref()).expect("all or none"))
+                            f(d.trace
+                                .as_ref()
+                                .and_then(|t| t.opt.as_ref())
+                                .expect("all or none"))
                                 * w
                         })
                         .sum()
@@ -431,9 +436,15 @@ mod tests {
         assert_eq!(sampled.store_log_hash, 0, "not reconstructible");
         let ipc_err = (sampled.ipc() - full.ipc()).abs() / full.ipc();
         let energy_err = (sampled.energy - full.energy).abs() / full.energy;
-        assert!(ipc_err < 1e-3, "IPC error {ipc_err:.6} should telescope away");
+        assert!(
+            ipc_err < 1e-3,
+            "IPC error {ipc_err:.6} should telescope away"
+        );
         assert!(energy_err < 1e-3, "energy error {energy_err:.6}");
-        let t = sampled.trace.as_ref().expect("trace models keep trace reports");
+        let t = sampled
+            .trace
+            .as_ref()
+            .expect("trace models keep trace reports");
         let ft = full.trace.as_ref().expect("full trace");
         assert!(
             (t.coverage - ft.coverage).abs() < 1e-3,
@@ -556,8 +567,16 @@ mod probe {
                     (20_000, 60_000, 8),
                     (20_000, budget, 64),
                 ] {
-                    let spec = SamplingSpec { interval, warmup, max_k, ..SamplingSpec::default() };
-                    let s = SimRequest::model(model).insts(budget).sampled(spec).run(&wl);
+                    let spec = SamplingSpec {
+                        interval,
+                        warmup,
+                        max_k,
+                        ..SamplingSpec::default()
+                    };
+                    let s = SimRequest::model(model)
+                        .insts(budget)
+                        .sampled(spec)
+                        .run(&wl);
                     let ipc_err = (s.ipc() - full.ipc()).abs() / full.ipc();
                     let e_err = (s.energy - full.energy).abs() / full.energy;
                     println!(

@@ -133,15 +133,18 @@ impl SampleWarmth {
         let mut schedule: Vec<SnapEvent> = offsets_full
             .iter()
             .enumerate()
-            .map(|(i, &o)| SnapEvent { offset: o, slot: i, data: false })
+            .map(|(i, &o)| SnapEvent {
+                offset: o,
+                slot: i,
+                data: false,
+            })
             .collect();
         if want_data {
-            schedule.extend(
-                offsets_data
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &o)| SnapEvent { offset: o, slot: i, data: true }),
-            );
+            schedule.extend(offsets_data.iter().enumerate().map(|(i, &o)| SnapEvent {
+                offset: o,
+                slot: i,
+                data: true,
+            }));
         }
         schedule.sort_unstable_by_key(|e| e.offset);
         let mut passes: Vec<WarmPass> = Vec::new();
@@ -268,20 +271,24 @@ fn warm_pass(
         schedule.iter().map(|e| e.offset).max()
     } else {
         // A single-kind traversal can stop at its own last obligation.
-        schedule.iter().filter(|e| e.data == want_data).map(|e| e.offset).max()
+        schedule
+            .iter()
+            .filter(|e| e.data == want_data)
+            .map(|e| e.offset)
+            .max()
     }
     .unwrap_or(0)
     .min(budget);
-    let src = StreamSource::replay(Arc::clone(trace), wl)
-        .expect("capture validated before warming");
+    let src =
+        StreamSource::replay(Arc::clone(trace), wl).expect("capture validated before warming");
     let mut oracle = OracleStream::from_source(src, last);
     let mut next = 0usize;
     let snap = |ev: &SnapEvent,
-                    full: &mut Vec<Option<(MemHierarchy, HybridPredictor)>>,
-                    data: &mut Vec<Option<MemHierarchy>>,
-                    mem: &MemHierarchy,
-                    bpred: &HybridPredictor,
-                    data_mem: &MemHierarchy| {
+                full: &mut Vec<Option<(MemHierarchy, HybridPredictor)>>,
+                data: &mut Vec<Option<MemHierarchy>>,
+                mem: &MemHierarchy,
+                bpred: &HybridPredictor,
+                data_mem: &MemHierarchy| {
         if ev.data {
             if want_data {
                 data[ev.slot] = Some(data_mem.clone());
@@ -292,7 +299,14 @@ fn warm_pass(
     };
     // Snapshots at offset 0 are the cold state.
     while next < schedule.len() && schedule[next].offset == 0 {
-        snap(&schedule[next], &mut full, &mut data, &mem, &bpred, &data_mem);
+        snap(
+            &schedule[next],
+            &mut full,
+            &mut data,
+            &mem,
+            &bpred,
+            &data_mem,
+        );
         next += 1;
     }
     // Stream-order replay of exactly the state updates
@@ -352,7 +366,14 @@ fn warm_pass(
             }
         }
         while next < schedule.len() && oracle.cursor() >= schedule[next].offset {
-            snap(&schedule[next], &mut full, &mut data, &mem, &bpred, &data_mem);
+            snap(
+                &schedule[next],
+                &mut full,
+                &mut data,
+                &mem,
+                &bpred,
+                &data_mem,
+            );
             next += 1;
         }
     }
@@ -361,10 +382,14 @@ fn warm_pass(
     (
         want_full.then(|| {
             let end = (mem, bpred.clone());
-            full.into_iter().map(|s| s.unwrap_or_else(|| end.clone())).collect()
+            full.into_iter()
+                .map(|s| s.unwrap_or_else(|| end.clone()))
+                .collect()
         }),
         want_data.then(|| {
-            data.into_iter().map(|s| s.unwrap_or_else(|| data_mem.clone())).collect()
+            data.into_iter()
+                .map(|s| s.unwrap_or_else(|| data_mem.clone()))
+                .collect()
         }),
     )
 }
@@ -435,7 +460,10 @@ mod tests {
             BASELINE_DETAILED_WARMUP
         );
         // A spec warmup below the floor is never raised.
-        let tight = SamplingSpec { warmup: 1_000, ..spec };
+        let tight = SamplingSpec {
+            warmup: 1_000,
+            ..spec
+        };
         assert_eq!(effective_warmup(&baseline, &tight, 5_000_000), 1_000);
     }
 }

@@ -67,7 +67,13 @@ pub fn project(bbvs: &[Vec<f64>], dims: usize, seed: u64) -> Vec<Vec<f64>> {
                 seed ^ (b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
             (0..dims)
-                .map(|_| if r.next_u64() >> 63 == 1 { scale } else { -scale })
+                .map(|_| {
+                    if r.next_u64() >> 63 == 1 {
+                        scale
+                    } else {
+                        -scale
+                    }
+                })
                 .collect()
         })
         .collect();
@@ -90,8 +96,8 @@ pub fn project(bbvs: &[Vec<f64>], dims: usize, seed: u64) -> Vec<Vec<f64>> {
 mod tests {
     use super::*;
     use crate::intervals_for;
-    use parrot_workloads::tracefmt::capture;
     use parrot_workloads::app_by_name;
+    use parrot_workloads::tracefmt::capture;
 
     fn workload(name: &str) -> Workload {
         Workload::build(&app_by_name(name).expect("registered"))

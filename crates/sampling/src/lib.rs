@@ -272,8 +272,20 @@ mod tests {
     fn intervals_partition_the_budget() {
         let ivs = intervals_for(10_500, 4_000);
         assert_eq!(ivs.len(), 3);
-        assert_eq!(ivs[0], Interval { start: 0, len: 4_000 });
-        assert_eq!(ivs[2], Interval { start: 8_000, len: 2_500 });
+        assert_eq!(
+            ivs[0],
+            Interval {
+                start: 0,
+                len: 4_000
+            }
+        );
+        assert_eq!(
+            ivs[2],
+            Interval {
+                start: 8_000,
+                len: 2_500
+            }
+        );
         assert_eq!(ivs.iter().map(|i| i.len).sum::<u64>(), 10_500);
         // Degenerate: budget smaller than one interval → one short interval.
         let small = intervals_for(700, 4_000);
@@ -296,8 +308,14 @@ mod tests {
         assert_eq!(w.iter().sum::<f64>(), 1.0, "weights sum to 1.0 exactly");
         assert!(w.iter().all(|x| *x > 0.0));
         for c in &plan.clusters {
-            assert_eq!(plan.assignments[c.rep], plan.clusters.iter().position(|x| x.rep == c.rep).expect("present"),
-                "a representative belongs to its own cluster");
+            assert_eq!(
+                plan.assignments[c.rep],
+                plan.clusters
+                    .iter()
+                    .position(|x| x.rep == c.rep)
+                    .expect("present"),
+                "a representative belongs to its own cluster"
+            );
             assert!(c.members >= 1);
         }
     }
@@ -349,9 +367,27 @@ mod tests {
         let base = SamplingSpec::default();
         let mut tags = std::collections::BTreeSet::new();
         tags.insert(base.cache_tag());
-        tags.insert(SamplingSpec { interval: 1, ..base.clone() }.cache_tag());
-        tags.insert(SamplingSpec { warmup: 1, ..base.clone() }.cache_tag());
-        tags.insert(SamplingSpec { max_k: 1, ..base.clone() }.cache_tag());
+        tags.insert(
+            SamplingSpec {
+                interval: 1,
+                ..base.clone()
+            }
+            .cache_tag(),
+        );
+        tags.insert(
+            SamplingSpec {
+                warmup: 1,
+                ..base.clone()
+            }
+            .cache_tag(),
+        );
+        tags.insert(
+            SamplingSpec {
+                max_k: 1,
+                ..base.clone()
+            }
+            .cache_tag(),
+        );
         tags.insert(SamplingSpec { seed: 1, ..base }.cache_tag());
         assert_eq!(tags.len(), 5, "every field must change the tag");
     }
@@ -367,7 +403,11 @@ mod tests {
         assert_eq!(table.len(), wl.program.insts.len());
         for d in wl.engine().take(2_000) {
             let via_pc = pa.block_at(d.pc).expect("every pc is in a block");
-            assert_eq!(table[d.inst as usize], via_pc, "inst {} pc {:#x}", d.inst, d.pc);
+            assert_eq!(
+                table[d.inst as usize], via_pc,
+                "inst {} pc {:#x}",
+                d.inst, d.pc
+            );
         }
     }
 }
